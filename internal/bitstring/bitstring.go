@@ -27,6 +27,43 @@ func FromBytes(b []byte) String {
 	return String{data: d, n: 8 * len(b)}
 }
 
+// FromBytesInto is FromBytes assembled in buf's storage when its capacity
+// suffices, so a hot loop can rewrap a payload without allocating. The
+// result aliases buf and is valid until buf's next reuse; a too-small buf
+// degrades to FromBytes.
+func FromBytesInto(b, buf []byte) String {
+	if cap(buf) < len(b) {
+		return FromBytes(b)
+	}
+	d := buf[:len(b)]
+	copy(d, b)
+	return String{data: d, n: 8 * len(b)}
+}
+
+// UintInto returns the width-bit string holding v, most significant bit
+// first — exactly the String an empty Writer builds from WriteUint(v,
+// width) — assembled in buf, which must hold (width+7)/8 bytes. It is one
+// shift per byte, for framing fixed-width words without a Writer. Like
+// WriteUint it panics when v does not fit in width bits.
+func UintInto(buf []byte, v uint64, width int) String {
+	if width < 0 || width > 64 {
+		panic(fmt.Sprintf("bitstring: invalid width %d", width))
+	}
+	if width == 0 {
+		return String{}
+	}
+	if width < 64 && v>>uint(width) != 0 {
+		panic(fmt.Sprintf("bitstring: value %d does not fit in %d bits", v, width))
+	}
+	nb := (width + 7) / 8
+	d := buf[:nb]
+	u := v << uint(64-width)
+	for i := range d {
+		d[i] = byte(u >> uint(56-8*i))
+	}
+	return String{data: d, n: width}
+}
+
 // FromBits builds a String from individual bits (0 or 1 values).
 func FromBits(bits []byte) String {
 	var w Writer
@@ -80,6 +117,14 @@ func (s String) Equal(t String) bool {
 		}
 	}
 	return true
+}
+
+// Clone returns a copy of s that shares no storage with it, for holding on
+// to a String that may alias a reused buffer.
+func (s String) Clone() String {
+	d := make([]byte, (s.n+7)/8)
+	copy(d, s.data)
+	return String{data: d, n: s.n}
 }
 
 // Truncate returns the prefix of s of at most n bits. Truncation models an

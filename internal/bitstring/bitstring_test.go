@@ -304,3 +304,53 @@ func TestWriteUintPanicsOnOverflow(t *testing.T) {
 	var w Writer
 	w.WriteUint(4, 2)
 }
+
+// TestUintIntoMatchesWriter pins UintInto to an empty Writer's
+// WriteUint(v, width) — same length, same bytes including zero padding —
+// even when buf holds stale bytes, for every width.
+func TestUintIntoMatchesWriter(t *testing.T) {
+	for width := 0; width <= 64; width++ {
+		for _, v := range []uint64{0, 1, 0x5A5A5A5A5A5A5A5A, ^uint64(0)} {
+			if width < 64 {
+				v &= 1<<uint(width) - 1
+			}
+			var w Writer
+			w.WriteUint(v, width)
+			want := w.String()
+			buf := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
+			got := UintInto(buf, v, width)
+			if got.Len() != want.Len() || string(got.Bytes()) != string(want.Bytes()) {
+				t.Fatalf("width %d v %#x: UintInto %v, WriteUint %v", width, v, got.Bytes(), want.Bytes())
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("UintInto accepted a value wider than its width")
+		}
+	}()
+	UintInto(make([]byte, 1), 0x100, 8)
+}
+
+// TestFromBytesIntoAndClone checks that FromBytesInto equals FromBytes and
+// aliases buf when it fits, and that Clone detaches a String from storage
+// that is reused afterwards.
+func TestFromBytesIntoAndClone(t *testing.T) {
+	payload := []byte{0xC3, 0x5A, 0x01}
+	buf := make([]byte, 8)
+	s := FromBytesInto(payload, buf)
+	if !s.Equal(FromBytes(payload)) {
+		t.Fatalf("FromBytesInto %s, FromBytes %s", s, FromBytes(payload))
+	}
+	kept := s.Clone()
+	buf[0] ^= 0xFF // reuse the buffer: s changes with it, the clone does not
+	if s.Equal(FromBytes(payload)) {
+		t.Fatal("FromBytesInto did not assemble the string in buf")
+	}
+	if !kept.Equal(FromBytes(payload)) {
+		t.Fatalf("Clone shares storage with its source: %s", kept)
+	}
+	if small := FromBytesInto(payload, make([]byte, 1)); !small.Equal(FromBytes(payload)) {
+		t.Fatalf("FromBytesInto with a short buffer: %s", small)
+	}
+}

@@ -101,7 +101,8 @@ func (b *boosted) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]Ce
 	}
 	// Pass 2: frame each (lane, port)'s repetitions — gamma length prefix
 	// plus payload, rep-major, the exact wire format of Certs — into one
-	// exactly-sized slab shared by the whole call.
+	// exactly-sized slab shared by the whole call, carved from the
+	// executor's certificate arena when there is one.
 	frameBits := func(l, i int) int {
 		bits := 0
 		for rep := 0; rep < b.t; rep++ {
@@ -116,7 +117,7 @@ func (b *boosted) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]Ce
 			totalBytes += (frameBits(l, i) + 7) / 8
 		}
 	}
-	slab := make([]byte, totalBytes)
+	slab := view.Scratch.CertBytes(totalBytes)
 	var w bitstring.Writer
 	off := 0
 	for l := 0; l < lanes; l++ {

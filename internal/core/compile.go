@@ -46,8 +46,7 @@ func CompiledCertBits(kappa int) int {
 	if kappa < 0 {
 		kappa = 0
 	}
-	p := field.PrimeForLength(kappa)
-	return bitstring.GammaBits(uint64(kappa)) + 2*bitstring.UintBits(p-1)
+	return FingerprintCertBits(kappa, field.PrimeForLength(kappa))
 }
 
 type compiled struct {
@@ -86,28 +85,37 @@ func writeSub(w *bitstring.Writer, s bitstring.String) {
 	w.WriteString(s)
 }
 
-func readSub(r *bitstring.Reader) (bitstring.String, error) {
+// readSub reads one gamma-framed sub-label, assembling it at the front of
+// buf when buf has room (ReadStringInto), and returns the rest of buf.
+func readSub(r *bitstring.Reader, buf []byte) (bitstring.String, []byte, error) {
 	n, err := r.ReadGamma()
 	if err != nil {
-		return bitstring.String{}, err
+		return bitstring.String{}, buf, err
 	}
 	if n > 1<<30 {
-		return bitstring.String{}, fmt.Errorf("compiled label: implausible sub-label length %d", n)
+		return bitstring.String{}, buf, fmt.Errorf("compiled label: implausible sub-label length %d", n)
 	}
-	return r.ReadString(int(n))
+	nb := min((int(n)+7)/8, len(buf))
+	s, err := r.ReadStringInto(int(n), buf[:0:nb])
+	return s, buf[nb:], err
 }
 
 // splitLabel decodes the replicated vector: own label plus one replica per
-// port. Returns an error on malformed (adversarial) labels.
-func (c *compiled) splitLabel(own Label, deg int) (self Label, replicas []Label, err error) {
-	r := bitstring.NewReader(own)
-	self, err = readSub(r)
+// port. Returns an error on malformed (adversarial) labels. The sub-labels
+// and the replica slice live in sc's Bytes and Labels buffers — a nil sc
+// allocates them — and are valid until sc's next use of those buffers.
+func (c *compiled) splitLabel(own Label, deg int, sc *LaneScratch) (self Label, replicas []Label, err error) {
+	var r bitstring.Reader
+	r.Reset(own)
+	// Each sub-label needs at most one byte beyond its share of own's bits.
+	buf := sc.Bytes((own.Len()+7)/8 + deg + 1)
+	self, buf, err = readSub(&r, buf)
 	if err != nil {
 		return Label{}, nil, fmt.Errorf("own sub-label: %w", err)
 	}
-	replicas = make([]Label, deg)
+	replicas = sc.Labels(deg)
 	for i := 0; i < deg; i++ {
-		replicas[i], err = readSub(r)
+		replicas[i], buf, err = readSub(&r, buf)
 		if err != nil {
 			return Label{}, nil, fmt.Errorf("replica %d: %w", i, err)
 		}
@@ -121,7 +129,7 @@ func (c *compiled) splitLabel(own Label, deg int) (self Label, replicas []Label,
 // Certs fingerprints the node's own sub-label once per port with
 // independent coins (edge independence, Definition 4.5).
 func (c *compiled) Certs(view View, own Label, rng *prng.Rand) []Cert {
-	self, _, err := c.splitLabel(own, view.Deg)
+	self, _, err := c.splitLabel(own, view.Deg, nil)
 	if err != nil {
 		// A node with a malformed label sends empty certificates; its
 		// neighbors reject them, and the node itself rejects in Decide.
@@ -131,19 +139,17 @@ func (c *compiled) Certs(view View, own Label, rng *prng.Rand) []Cert {
 	certs := make([]Cert, view.Deg)
 	for i := range certs {
 		fp := field.NewFingerprint(self, p, rng.Fork(uint64(i)))
-		var w bitstring.Writer
-		w.WriteGamma(uint64(self.Len()))
-		fp.Encode(&w)
-		certs[i] = w.String()
+		certs[i] = FingerprintCert(nil, self.Len(), p, fp.X, fp.Y)
 	}
 	return certs
 }
 
 // Decide checks every received fingerprint against the stored replica of
-// that neighbor's label, then runs the original deterministic verifier on
-// the replicas.
+// that neighbor's label — a certificate for another length rejects
+// outright, as the replica cannot equal the sender's label — then runs the
+// original deterministic verifier on the replicas.
 func (c *compiled) Decide(view View, own Label, received []Cert) bool {
-	self, replicas, err := c.splitLabel(own, view.Deg)
+	self, replicas, err := c.splitLabel(own, view.Deg, nil)
 	if err != nil {
 		return false
 	}
@@ -151,34 +157,11 @@ func (c *compiled) Decide(view View, own Label, received []Cert) bool {
 		return false
 	}
 	for i, cert := range received {
-		if !checkFingerprint(cert, replicas[i]) {
+		if !CheckFingerprint(cert, replicas[i], field.PrimeForLength(replicas[i].Len())) {
 			return false
 		}
 	}
 	return c.inner.Verify(view, self, replicas)
-}
-
-// checkFingerprint verifies one transmitted certificate — gamma length
-// prefix plus (x, A(x)) — against the receiver's stored replica of the
-// sender's label.
-func checkFingerprint(cert Cert, replica Label) bool {
-	r := bitstring.NewReader(cert)
-	n, err := r.ReadGamma()
-	if err != nil {
-		return false
-	}
-	if int(n) != replica.Len() {
-		return false // length mismatch: replica cannot equal sender's label
-	}
-	p := field.PrimeForLength(int(n))
-	fp, err := field.DecodeFingerprint(r, p)
-	if err != nil {
-		return false
-	}
-	if r.Remaining() != 0 {
-		return false
-	}
-	return fp.Matches(replica)
 }
 
 var _ CappedRPLS = (*compiled)(nil)
@@ -199,7 +182,7 @@ func (c *compiled) CapCerts(m int, view View, own Label, rng *prng.Rand) []Cert 
 // Equal strings always match (one-sided completeness); the reverse edge's
 // own fingerprint is among the members, so soundness is at least unicast.
 func (c *compiled) CapDecide(_ int, view View, own Label, received []Cert) bool {
-	self, replicas, err := c.splitLabel(own, view.Deg)
+	self, replicas, err := c.splitLabel(own, view.Deg, nil)
 	if err != nil {
 		return false
 	}
@@ -214,8 +197,9 @@ func (c *compiled) CapDecide(_ int, view View, own Label, received []Cert) bool 
 		if len(members) == 0 {
 			return false // the reverse edge's fingerprint must be present
 		}
+		p := field.PrimeForLength(replicas[i].Len())
 		for _, cert := range members {
-			if !checkFingerprint(cert, replicas[i]) {
+			if !CheckFingerprint(cert, replicas[i], p) {
 				return false
 			}
 		}

@@ -52,10 +52,16 @@ type Predicate interface {
 // View is the locally visible context of a node during verification: its
 // index (diagnostics only), its degree, and its state. Verifiers must not
 // reach beyond it; the runtime hands each node exactly this.
+//
+// Scratch is not part of the node's context but the executor's reusable
+// storage for the lane path: a batched executor sets it for the LaneRPLS
+// calls it makes, and it is nil everywhere else. It carries no
+// information, so no decision may depend on it.
 type View struct {
-	Node  int
-	Deg   int
-	State graph.State
+	Node    int
+	Deg     int
+	State   graph.State
+	Scratch *LaneScratch
 }
 
 // ViewOf extracts node v's local view from a configuration.

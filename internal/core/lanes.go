@@ -26,6 +26,14 @@ import (
 // as prng.New(seed+l).Fork(v)), so coin draws inside a lane are the same
 // streams the sequential path would use. len(rngs) and len(recv) are at
 // most 64.
+//
+// view.Scratch is the executor's LaneScratch, or nil. Both methods take
+// their working buffers from it, and CertsLanes may build certificates in
+// its arena (LaneScratch.CertBytes): such a certificate stays valid until
+// the executor's next batch, when the arena is reused. No Cert may
+// therefore escape the executor's batch — the executor keeps only the
+// votes and bit counts. With a nil scratch every buffer and certificate is
+// freshly allocated, as in a one-lane call.
 type LaneRPLS interface {
 	RPLS
 	CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]Cert)
@@ -41,19 +49,22 @@ func LaneMask(lanes int) uint64 {
 	return 1<<uint(lanes) - 1
 }
 
-// FingerprintLanes writes the standard fingerprint certificate — gamma
-// length prefix plus (x, A(x)) over GF(p) — for every (lane, port) pair,
-// drawing x from rngs[l].Fork(i) exactly as the one-lane schemes do, and
-// evaluating the shared polynomial at all points in one batched pass
-// (through cache when the scheme provides one; nil evaluates directly). It
-// is the common core of the compiled and uniform CertsLanes.
+// FingerprintLanes writes the standard fingerprint certificate (see
+// FingerprintCert) for every (lane, port) pair, drawing x from
+// rngs[l].Fork(i) exactly as the one-lane schemes do, and evaluating the
+// shared polynomial at all points in one batched pass (through cache when
+// the scheme provides one; nil evaluates directly). It is the common core
+// of the compiled and uniform CertsLanes.
 //
 // All certificates of a call have the same bit length, so they are framed
-// into one shared slab: two allocations per call — evaluation points and
-// slab — instead of two per certificate.
-func FingerprintLanes(s bitstring.String, p uint64, rngs []*prng.Rand, deg int, cache *field.EvalCache, out [][]Cert) {
+// into one slab from sc's certificate arena, and the evaluation points and
+// values live in sc's buffers: with a warm scratch the call allocates
+// nothing (a nil sc allocates the slab and buffers per call).
+//
+//pls:hotpath
+func FingerprintLanes(s bitstring.String, p uint64, rngs []*prng.Rand, deg int, cache *field.EvalCache, sc *LaneScratch, out [][]Cert) {
 	lanes := len(rngs)
-	buf := make([]uint64, 2*lanes*deg)
+	buf := sc.Uint64s(2 * lanes * deg)
 	xs, ys := buf[:lanes*deg], buf[lanes*deg:]
 	for l, rng := range rngs {
 		row := xs[l*deg : (l+1)*deg]
@@ -61,20 +72,14 @@ func FingerprintLanes(s bitstring.String, p uint64, rngs []*prng.Rand, deg int, 
 			row[i] = rng.Fork(uint64(i)).Uint64n(p)
 		}
 	}
-	cache.EvalMany(s, p, xs, ys)
-	width := bitstring.UintBits(p - 1)
-	n := uint64(s.Len())
-	certBytes := (bitstring.GammaBits(n) + 2*width + 7) / 8
-	slab := make([]byte, lanes*deg*certBytes)
-	var w bitstring.Writer
+	cache.EvalMany(s, p, xs, ys, sc.Eval())
+	lambda := s.Len()
+	certBytes := (FingerprintCertBits(lambda, p) + 7) / 8
+	slab := sc.CertBytes(lanes * deg * certBytes)
 	for l := 0; l < lanes; l++ {
 		for i := 0; i < deg; i++ {
 			k := (l*deg + i) * certBytes
-			w.ResetInto(slab[k : k : k+certBytes])
-			w.WriteGamma(n)
-			w.WriteUint(xs[l*deg+i], width)
-			w.WriteUint(ys[l*deg+i], width)
-			out[l][i] = w.TakeString()
+			out[l][i] = FingerprintCert(slab[k:k:k+certBytes], lambda, p, xs[l*deg+i], ys[l*deg+i])
 		}
 	}
 }
@@ -84,8 +89,10 @@ var _ LaneRPLS = (*compiled)(nil)
 // CertsLanes implements LaneRPLS: the label is parsed and the field chosen
 // once, and the self sub-label's polynomial is evaluated at all
 // lanes × ports points in one coefficient walk.
+//
+//pls:hotpath
 func (c *compiled) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]Cert) {
-	self, _, err := c.splitLabel(own, view.Deg)
+	self, _, err := c.splitLabel(own, view.Deg, view.Scratch)
 	if err != nil {
 		// Same as Certs: a malformed label sends empty certificates.
 		for l := range rngs {
@@ -97,7 +104,7 @@ func (c *compiled) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]C
 	}
 	// No cache: the self sub-label differs per node, so a shared one-entry
 	// memo would thrash.
-	FingerprintLanes(self, field.PrimeForLength(self.Len()), rngs, view.Deg, nil, out)
+	FingerprintLanes(self, field.PrimeForLength(self.Len()), rngs, view.Deg, nil, view.Scratch, out)
 }
 
 // DecideLanes implements LaneRPLS. Per port, each lane's certificate is
@@ -105,9 +112,12 @@ func (c *compiled) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]C
 // but the replica polynomial is evaluated at all surviving lanes' points
 // in one batched pass, and the inner deterministic verifier — which sees
 // only the replicas, never the coins — runs once for the whole batch.
+//
+//pls:hotpath
 func (c *compiled) DecideLanes(view View, own Label, recv [][]Cert) uint64 {
 	lanes := len(recv)
-	self, replicas, err := c.splitLabel(own, view.Deg)
+	sc := view.Scratch
+	self, replicas, err := c.splitLabel(own, view.Deg, sc)
 	if err != nil {
 		return 0
 	}
@@ -117,7 +127,7 @@ func (c *compiled) DecideLanes(view View, own Label, recv [][]Cert) uint64 {
 			live &^= 1 << uint(l)
 		}
 	}
-	buf := make([]uint64, 3*lanes)
+	buf := sc.Uint64s(3 * lanes)
 	xs, ys, got := buf[:lanes], buf[lanes:2*lanes], buf[2*lanes:]
 	for i := 0; i < view.Deg && live != 0; i++ {
 		rep := replicas[i]
@@ -127,23 +137,17 @@ func (c *compiled) DecideLanes(view View, own Label, recv [][]Cert) uint64 {
 			if live&(1<<uint(l)) == 0 {
 				continue
 			}
-			r := bitstring.NewReader(recv[l][i])
-			n, err := r.ReadGamma()
-			if err != nil || int(n) != rep.Len() {
+			x, y, ok := ParseFingerprintCert(recv[l][i], rep.Len(), p)
+			if !ok {
 				live &^= 1 << uint(l)
 				continue
 			}
-			fp, err := field.DecodeFingerprint(r, p)
-			if err != nil || r.Remaining() != 0 {
-				live &^= 1 << uint(l)
-				continue
-			}
-			xs[l], ys[l] = fp.X, fp.Y
+			xs[l], ys[l] = x, y
 		}
 		if live == 0 {
 			break
 		}
-		field.NewPoly(rep, p).EvalMany(xs, got)
+		field.NewPoly(rep, p).EvalMany(xs, got, sc.Eval())
 		for l := 0; l < lanes; l++ {
 			if live&(1<<uint(l)) != 0 && got[l] != ys[l] {
 				live &^= 1 << uint(l)
@@ -153,6 +157,9 @@ func (c *compiled) DecideLanes(view View, own Label, recv [][]Cert) uint64 {
 	if live == 0 {
 		return 0
 	}
+	// The inner verifier is a one-lane PLS: it gets no scratch, so the
+	// buffers holding self and the replicas stay untouched.
+	view.Scratch = nil
 	if !c.inner.Verify(view, self, replicas) {
 		return 0
 	}

@@ -82,7 +82,16 @@ func TestLanesMatchPerLane(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s does not implement LaneRPLS", tc.scheme.Name())
 			}
-			for _, lanes := range []int{1, 3, 64} {
+			// With no scratch the lane methods allocate; with one, shared by
+			// every width and reset per batch as the executor does, they
+			// work in its buffers and build certificates in its arena.
+			sc := new(core.LaneScratch)
+			for _, run := range []struct {
+				lanes int
+				sc    *core.LaneScratch
+			}{{1, nil}, {3, nil}, {64, nil}, {64, sc}, {1, sc}, {3, sc}} {
+				lanes := run.lanes
+				run.sc.Reset()
 				n := tc.cfg.G.N()
 				// Per-lane reference streams and batched streams: trial l at
 				// node v forks prng.New(seed+l).Fork(v), as the executors do.
@@ -96,6 +105,7 @@ func TestLanesMatchPerLane(t *testing.T) {
 				}
 				for v := 0; v < n; v++ {
 					view := core.ViewOf(tc.cfg, v)
+					view.Scratch = run.sc
 					rngs := make([]*prng.Rand, lanes)
 					out := make([][]core.Cert, lanes)
 					for l := 0; l < lanes; l++ {
@@ -114,7 +124,7 @@ func TestLanesMatchPerLane(t *testing.T) {
 								ref = want[l][v][i]
 							}
 							if !out[l][i].Equal(ref) {
-								t.Fatalf("lanes=%d node %d lane %d port %d: CertsLanes != Certs", lanes, v, l, i)
+								t.Fatalf("lanes=%d scratch=%v node %d lane %d port %d: CertsLanes != Certs", lanes, run.sc != nil, v, l, i)
 							}
 						}
 					}
@@ -137,12 +147,14 @@ func TestLanesMatchPerLane(t *testing.T) {
 								recv[l][0] = recv[l][0].Truncate(recv[l][0].Len() / 2)
 							}
 						}
-						got := ls.DecideLanes(view, tc.labels[v], recv)
+						laneView := view
+						laneView.Scratch = run.sc
+						got := ls.DecideLanes(laneView, tc.labels[v], recv)
 						for l := 0; l < lanes; l++ {
 							ref := tc.scheme.Decide(view, tc.labels[v], recv[l])
 							if ref != (got&(1<<uint(l)) != 0) {
-								t.Fatalf("corrupt=%v lanes=%d node %d lane %d: DecideLanes bit %v, Decide %v",
-									corrupt, lanes, v, l, got&(1<<uint(l)) != 0, ref)
+								t.Fatalf("corrupt=%v lanes=%d scratch=%v node %d lane %d: DecideLanes bit %v, Decide %v",
+									corrupt, lanes, run.sc != nil, v, l, got&(1<<uint(l)) != 0, ref)
 							}
 						}
 					}

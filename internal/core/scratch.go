@@ -1,0 +1,137 @@
+package core
+
+import "rpls/internal/field"
+
+// LaneScratch is the reusable working storage of the lane path. A batched
+// executor owns one per worker and hands it to the scheme through
+// View.Scratch, so CertsLanes and DecideLanes run without allocating once
+// the buffers have grown to the graph's needs. It is never shared: one
+// scratch serves one executor, and one call at a time.
+//
+// Every accessor is nil-safe. On a nil *LaneScratch — the one-lane paths
+// and any caller outside a batched executor — each returns freshly
+// allocated storage, which is the allocating behaviour the lane methods
+// had before the scratch existed.
+//
+// Two lifetimes apply. The working buffers (Uint64s, Ints, Labels, Bytes,
+// Eval) are valid until the next call of the same accessor; a scheme uses
+// them within one CertsLanes or DecideLanes call and must not hold on to
+// them. Certificate storage from CertBytes comes from an arena that the
+// executor resets at the start of every batch, so certificates built there
+// stay valid until the executor's next batch and no longer.
+type LaneScratch struct {
+	eval     field.EvalScratch
+	vals     []uint64
+	ints     []int
+	labels   []Label
+	bytes    []byte
+	arena    [][]byte // certificate chunks, reused in order batch after batch
+	chunk    int      // index of the chunk being carved
+	chunkOff int      // bytes of arena[chunk] handed out this batch
+}
+
+// minArenaChunk is the size of the first certificate chunk. Later chunks
+// double the arena, so a batch's certificates fit in O(log) chunks while
+// the arena never reserves more than twice what a batch used.
+const minArenaChunk = 1 << 10
+
+// Reset starts a new batch: certificate storage handed out since the last
+// Reset is reused from here on, so the executor calls it only once every
+// certificate of the previous batch is dead. It is a no-op on nil.
+func (s *LaneScratch) Reset() {
+	if s != nil {
+		s.chunk, s.chunkOff = 0, 0
+	}
+}
+
+// CertBytes returns n bytes of certificate storage, valid until the next
+// Reset. Its contents are unspecified: writers must set every byte they
+// use, as bitstring.Writer (appending into a ResetInto region) and
+// bitstring.UintInto do. The arena grows on demand: when the chunks in use
+// are exhausted, a new chunk of at least the arena's current size is
+// added, and later batches reuse every chunk.
+//
+//pls:hotpath
+func (s *LaneScratch) CertBytes(n int) []byte {
+	if s == nil {
+		return make([]byte, n) //plsvet:allow hotalloc — no scratch: the allocating one-call behaviour
+	}
+	for ; s.chunk < len(s.arena); s.chunk, s.chunkOff = s.chunk+1, 0 {
+		if c := s.arena[s.chunk]; len(c)-s.chunkOff >= n {
+			b := c[s.chunkOff : s.chunkOff+n : s.chunkOff+n]
+			s.chunkOff += n
+			return b
+		}
+	}
+	size := minArenaChunk
+	for _, c := range s.arena {
+		size += len(c)
+	}
+	size = max(size, n)
+	//plsvet:allow hotalloc — arena grow on exhaustion; later batches reuse the chunk
+	s.arena = append(s.arena, make([]byte, size))
+	s.chunkOff = n
+	return s.arena[s.chunk][:n:n]
+}
+
+// Uint64s returns a working buffer of n uint64s.
+//
+//pls:hotpath
+func (s *LaneScratch) Uint64s(n int) []uint64 {
+	if s == nil {
+		return make([]uint64, n) //plsvet:allow hotalloc — no scratch: the allocating one-call behaviour
+	}
+	if cap(s.vals) < n {
+		s.vals = make([]uint64, n) //plsvet:allow hotalloc — capacity-guarded grow, amortized across batches
+	}
+	return s.vals[:n]
+}
+
+// Ints returns a working buffer of n ints.
+//
+//pls:hotpath
+func (s *LaneScratch) Ints(n int) []int {
+	if s == nil {
+		return make([]int, n) //plsvet:allow hotalloc — no scratch: the allocating one-call behaviour
+	}
+	if cap(s.ints) < n {
+		s.ints = make([]int, n) //plsvet:allow hotalloc — capacity-guarded grow, amortized across batches
+	}
+	return s.ints[:n]
+}
+
+// Labels returns a working buffer of n labels.
+//
+//pls:hotpath
+func (s *LaneScratch) Labels(n int) []Label {
+	if s == nil {
+		return make([]Label, n) //plsvet:allow hotalloc — no scratch: the allocating one-call behaviour
+	}
+	if cap(s.labels) < n {
+		s.labels = make([]Label, n) //plsvet:allow hotalloc — capacity-guarded grow, amortized across batches
+	}
+	return s.labels[:n]
+}
+
+// Bytes returns a working buffer of n bytes, for strings a call decodes
+// or rewraps (bitstring.Reader.ReadStringInto, bitstring.FromBytesInto).
+//
+//pls:hotpath
+func (s *LaneScratch) Bytes(n int) []byte {
+	if s == nil {
+		return make([]byte, n) //plsvet:allow hotalloc — no scratch: the allocating one-call behaviour
+	}
+	if cap(s.bytes) < n {
+		s.bytes = make([]byte, n) //plsvet:allow hotalloc — capacity-guarded grow, amortized across batches
+	}
+	return s.bytes[:n]
+}
+
+// Eval returns the nibble-table storage for field.Poly.EvalMany, nil for
+// a nil scratch (EvalMany then allocates its tables).
+func (s *LaneScratch) Eval() *field.EvalScratch {
+	if s == nil {
+		return nil
+	}
+	return &s.eval
+}

@@ -40,6 +40,11 @@ type Batched struct {
 	rngVals  []prng.Rand
 	rootVals []prng.Rand
 	votes    []bool
+	// scratch is the lane path's working storage and certificate arena,
+	// handed to the scheme as View.Scratch. The arena is reset at the start
+	// of every runLanes, so the plane's certificates live exactly one
+	// batch; they never leave runLanes, which keeps only votes and counts.
+	scratch core.LaneScratch
 
 	// Per-lane counters of the last runLanes call. The structural
 	// distinct-message count is lane-invariant (it depends on degrees and
@@ -250,12 +255,16 @@ func (e *Batched) ensure(width int) {
 // laneScheme rejects native degradations), each node's plane row of every
 // lane is rewritten by core.CapReplicate right after generation: the same
 // in-place transform capScheme.Certs applies on the sequential path, so
-// planes — and therefore votes and stats — stay byte-identical.
+// planes — and therefore votes and stats — stay byte-identical. The
+// scheme works in e.scratch (View.Scratch), whose certificate arena is
+// reset here: the previous batch's certificates are dead by now, since
+// none leaves runLanes.
 //
 //pls:hotpath
 func (e *Batched) runLanes(lane core.LaneRPLS, mult int, c *graph.Config, labels []core.Label, firstSeed uint64, width int, needVotes bool) {
 	e.csr.Reset(c.G)
 	e.ensure(width)
+	e.scratch.Reset()
 	n, slots := e.csr.N(), e.csr.Slots()
 	for l := 0; l < width; l++ {
 		*e.roots[l] = *prng.New(firstSeed + uint64(l))
@@ -268,7 +277,9 @@ func (e *Batched) runLanes(lane core.LaneRPLS, mult int, c *graph.Config, labels
 			*e.rngs[l] = *e.roots[l].Fork(uint64(v))
 			e.planeTop[l] = e.plane[l*slots+base : l*slots+base+deg]
 		}
-		lane.CertsLanes(core.ViewOf(c, v), labels[v], e.rngs, e.planeTop)
+		view := core.ViewOf(c, v)
+		view.Scratch = &e.scratch
+		lane.CertsLanes(view, labels[v], e.rngs, e.planeTop)
 		if mult > 0 {
 			for l := 0; l < width; l++ {
 				core.CapReplicate(e.planeTop[l], mult)
@@ -301,7 +312,9 @@ func (e *Batched) runLanes(lane core.LaneRPLS, mult int, c *graph.Config, labels
 			}
 			e.recvTop[l] = w
 		}
-		mask := lane.DecideLanes(core.ViewOf(c, v), labels[v], e.recvTop)
+		view := core.ViewOf(c, v)
+		view.Scratch = &e.scratch
+		mask := lane.DecideLanes(view, labels[v], e.recvTop)
 		accept &= mask
 		if needVotes {
 			e.votes[v] = mask&1 != 0

@@ -5,8 +5,10 @@ import (
 
 	"rpls/internal/core"
 	"rpls/internal/engine"
+	"rpls/internal/experiments"
 	"rpls/internal/graph"
 	"rpls/internal/prng"
+	"rpls/internal/schemes/spanningtree"
 	"rpls/internal/schemes/uniform"
 )
 
@@ -31,6 +33,58 @@ func TestBatchedRoundAllocs(t *testing.T) {
 	exec.Round(s, cfg, labels, 1) // warm the scratch buffers
 	if n := testing.AllocsPerRun(20, func() { exec.Round(s, cfg, labels, 2) }); n != 0 {
 		t.Fatalf("warm deterministic Batched round allocates %v times, want 0", n)
+	}
+}
+
+// estimateOverhead bounds the estimator's own allocations per Estimate
+// call, outside any executor: its options and its outcome buffer.
+const estimateOverhead = 8
+
+// TestBatchedLaneEstimateAllocs locks in the allocation-free lane path: on
+// a warm executor, whose scratch and certificate arena have grown to the
+// graph, a whole Estimate may allocate at most once per node per batch
+// beyond the estimator's own overhead. That budget is the compiled
+// scheme's inner deterministic Verify, which allocates once per call;
+// certificate generation, exchange, parsing and field evaluation allocate
+// nothing, so uniform, which has no inner verifier, must stay within the
+// overhead alone.
+func TestBatchedLaneEstimateAllocs(t *testing.T) {
+	const n, trials = 1 << 12, 64
+	for _, tc := range []struct {
+		name    string
+		scheme  core.RPLS
+		cfg     *graph.Config
+		perNode bool // the scheme runs an allocating inner Verify per node
+	}{
+		{"uniform", uniform.NewRPLS(), experiments.BuildUniformConfig(n, 32, 1), false},
+		{"spanningtree-compiled", core.Compile(spanningtree.NewPLS()), experiments.BuildTreeConfig(n, 1), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := engine.FromRPLS(tc.scheme)
+			labels, err := s.Label(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec := engine.NewBatched()
+			seed := uint64(1)
+			estimate := func() {
+				sum, err := engine.Estimate(s, tc.cfg, engine.WithLabels(labels),
+					engine.WithTrials(trials), engine.WithSeed(seed),
+					engine.WithExecutor(exec), engine.WithParallelism(1))
+				if err != nil || sum.Accepted != trials {
+					t.Fatalf("honest estimate: %+v, %v", sum, err)
+				}
+				seed += trials
+			}
+			estimate() // warm the scratch, the arena and the evaluation cache
+			limit := float64(estimateOverhead)
+			if tc.perNode {
+				limit += float64(n * ((trials + 63) / 64))
+			}
+			if got := testing.AllocsPerRun(2, estimate); got > limit {
+				t.Fatalf("warm lane Estimate allocates %v times, want <= %v", got, limit)
+			}
+		})
 	}
 }
 

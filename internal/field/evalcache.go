@@ -13,8 +13,8 @@ import (
 const maxTablePrime = 1 << 12
 
 // minTableBatch is the evaluation-batch size below which the cache skips
-// the table: the per-call fixed costs (keying, locking) beat a handful of
-// direct Horner walks.
+// the table: the per-call fixed costs (comparing, locking) beat a handful
+// of direct Horner walks.
 const minTableBatch = 8
 
 // EvalCache memoizes the full value table of one polynomial over a small
@@ -31,7 +31,7 @@ const minTableBatch = 8
 // concurrent use by the estimator's trial workers.
 type EvalCache struct {
 	mu    sync.Mutex
-	key   string
+	s     bitstring.String // private copy of the cached polynomial's bits
 	p     uint64
 	table []uint64
 }
@@ -39,10 +39,11 @@ type EvalCache struct {
 // EvalMany is Poly.EvalMany through the cache: out[k] = A(xs[k]) for the
 // polynomial whose coefficients are the bits of s, over GF(p). Every
 // xs[k] must be < p, as fingerprint draws and decoded fingerprints are.
-// A nil cache, a large field, or a tiny batch evaluates directly.
-func (c *EvalCache) EvalMany(s bitstring.String, p uint64, xs, out []uint64) {
+// A nil cache, a large field, or a tiny batch evaluates directly, with
+// its nibble tables in sc.
+func (c *EvalCache) EvalMany(s bitstring.String, p uint64, xs, out []uint64, sc *EvalScratch) {
 	if c == nil || p > maxTablePrime || len(xs) < minTableBatch {
-		NewPoly(s, p).EvalMany(xs, out)
+		NewPoly(s, p).EvalMany(xs, out, sc)
 		return
 	}
 	table := c.lookup(s, p)
@@ -52,13 +53,14 @@ func (c *EvalCache) EvalMany(s bitstring.String, p uint64, xs, out []uint64) {
 }
 
 // lookup returns the value table for (s, p), rebuilding the entry when the
-// cached polynomial differs. A published table is immutable — rebuilds swap
-// in a fresh slice — so the lock guards only the pointer exchange and two
-// racing rebuilds merely duplicate work.
+// cached polynomial differs. The hit path compares bits in place and does
+// not allocate. A published table is immutable — rebuilds swap in a fresh
+// slice and a fresh copy of s, since s may alias a caller's reused buffer —
+// so the lock guards only the entry exchange and two racing rebuilds
+// merely duplicate work.
 func (c *EvalCache) lookup(s bitstring.String, p uint64) []uint64 {
-	key := s.Key()
 	c.mu.Lock()
-	if c.p == p && c.key == key {
+	if c.p == p && c.s.Equal(s) {
 		t := c.table
 		c.mu.Unlock()
 		return t
@@ -69,9 +71,10 @@ func (c *EvalCache) lookup(s bitstring.String, p uint64) []uint64 {
 		xs[x] = uint64(x)
 	}
 	t := make([]uint64, p)
-	NewPoly(s, p).EvalMany(xs, t)
+	NewPoly(s, p).EvalMany(xs, t, nil)
+	own := s.Clone()
 	c.mu.Lock()
-	c.key, c.p, c.table = key, p, t
+	c.s, c.p, c.table = own, p, t
 	c.mu.Unlock()
 	return t
 }

@@ -230,8 +230,8 @@ func (poly Poly) Eval(x uint64) uint64 {
 }
 
 // evalChunkMin is the coefficient count from which the nibble-chunked
-// Horner walk pays for its table build (3 multiplications plus 15 table
-// reductions per evaluation point).
+// Horner walk pays for its table build (three reduced powers plus 15
+// add-and-subtract sums per evaluation point).
 const evalChunkMin = 64
 
 // revNib[v] is the bit-reversal of the 4-bit value v. Coefficients are
@@ -241,26 +241,28 @@ var revNib = [16]byte{0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15}
 
 // nibTable fills t with the 16 values c₃x³+c₂x²+c₁x+c₀ mod p indexed by
 // the chunk bits c₃c₂c₁c₀, plus x⁴ mod p in t[16] — the constants one
-// Horner step of four coefficients needs: acc ← acc·x⁴ + t[c].
+// Horner step of four coefficients needs: acc ← acc·x⁴ + t[c]. It needs a
+// reduced x (< p). Only the powers take a Barrett reduction; the 15 sums
+// are built by doubling the table one power at a time, t[2^k + c] =
+// t[c] + x^k, where both terms are below p and one conditional
+// subtraction reduces the sum.
 func nibTable(x, p, m uint64, t *[17]uint64) {
 	x2 := barrettReduce(x*x, p, m)
 	x3 := barrettReduce(x2*x, p, m)
 	t[16] = barrettReduce(x2*x2, p, m)
-	for c := 1; c < 16; c++ {
-		v := uint64(0)
-		if c&8 != 0 {
-			v += x3
+	t[0], t[1] = 0, 1
+	if p == 1 {
+		t[1] = 0
+	}
+	for k, xk := range [3]uint64{x, x2, x3} {
+		half := 2 << k
+		for c := 0; c < half; c++ {
+			v := t[c] + xk
+			if v >= p {
+				v -= p
+			}
+			t[half+c] = v
 		}
-		if c&4 != 0 {
-			v += x2
-		}
-		if c&2 != 0 {
-			v += x
-		}
-		if c&1 != 0 {
-			v++
-		}
-		t[c] = barrettReduce(v, p, m) // v < 4p < 2^33
 	}
 }
 
@@ -294,14 +296,36 @@ func (poly Poly) evalChunked(x, p, m uint64) uint64 {
 	return acc
 }
 
+// EvalScratch is reusable storage for the per-point nibble tables of
+// EvalMany's chunked walk. The zero value is ready to use; a nil
+// *EvalScratch makes EvalMany allocate its tables per call. One scratch
+// serves one evaluation at a time.
+type EvalScratch struct {
+	tabs [][17]uint64
+}
+
+// tables returns storage for n nibble tables: a capacity-guarded grow of
+// the scratch, or a fresh slice for a nil scratch.
+func (sc *EvalScratch) tables(n int) [][17]uint64 {
+	if sc == nil {
+		return make([][17]uint64, n)
+	}
+	if cap(sc.tabs) < n {
+		sc.tabs = make([][17]uint64, n)
+	}
+	return sc.tabs[:n]
+}
+
 // EvalMany evaluates the polynomial at every xs[i], writing A(xs[i]) into
 // out[i]. It is the batched form of Eval for trial-lane execution: the
 // coefficient bits are walked once for all evaluation points, so the bit
 // extraction amortizes across lanes and the independent per-lane Horner
 // chains overlap in the CPU pipeline instead of serializing on one
 // accumulator. Results are exactly Eval(xs[i]) — same field, same
-// arithmetic — at any lane count, including 1.
-func (poly Poly) EvalMany(xs, out []uint64) {
+// arithmetic — at any lane count, including 1. The nibble tables of long
+// polynomials live in sc when it is non-nil, so a caller that keeps one
+// scratch evaluates without allocating.
+func (poly Poly) EvalMany(xs, out []uint64, sc *EvalScratch) {
 	if len(out) < len(xs) {
 		panic(fmt.Sprintf("field: EvalMany out[%d] shorter than xs[%d]", len(out), len(xs)))
 	}
@@ -329,7 +353,7 @@ func (poly Poly) EvalMany(xs, out []uint64) {
 		out[l] = 0
 	}
 	if n >= evalChunkMin {
-		poly.evalManyChunked(xs, out, p, m)
+		poly.evalManyChunked(xs, out, p, m, sc.tables(len(xs)))
 		return
 	}
 	for b := (n - 1) >> 3; b >= 0; b-- {
@@ -348,11 +372,13 @@ func (poly Poly) EvalMany(xs, out []uint64) {
 }
 
 // evalManyChunked is the batched form of evalChunked: one nibble table per
-// lane, then a single coefficient walk feeding every lane's Horner chain
-// four coefficients per step. Results equal the bit-at-a-time walk exactly.
-func (poly Poly) evalManyChunked(xs, out []uint64, p, m uint64) {
+// lane, held in tabs (len(tabs) == len(xs)), then a single coefficient walk
+// feeding every lane's Horner chain four coefficients per step. Results
+// equal the bit-at-a-time walk exactly.
+//
+//pls:hotpath
+func (poly Poly) evalManyChunked(xs, out []uint64, p, m uint64, tabs [][17]uint64) {
 	n := poly.bits.Len()
-	tabs := make([][17]uint64, len(xs))
 	for l, x := range xs {
 		nibTable(x, p, m, &tabs[l])
 	}

@@ -263,19 +263,22 @@ func TestAddMod(t *testing.T) {
 
 // TestEvalManyMatchesEval pins the lane contract: EvalMany is bit-identical
 // to per-point Eval at every lane count, for reduced and unreduced points,
-// small and large moduli, and ragged string lengths.
+// small and large moduli down to GF(2) and GF(3), and ragged string
+// lengths — with the nibble tables freshly allocated and in one scratch
+// reused across every call.
 func TestEvalManyMatchesEval(t *testing.T) {
 	rng := prng.New(99)
-	primes := []uint64{2, 7, 61, PrimeForLength(200), PrimeForLength(4096), NextPrime(1 << 40)}
+	primes := []uint64{2, 3, 7, 61, PrimeForLength(200), PrimeForLength(4096), NextPrime(1 << 40)}
+	var sc EvalScratch
 	for _, p := range primes {
-		for _, n := range []int{0, 1, 7, 8, 9, 63, 200, 515} {
+		for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 200, 515} {
 			raw := make([]byte, n)
 			for i := range raw {
 				raw[i] = rng.Bit()
 			}
 			s := bitstring.FromBits(raw)
 			poly := NewPoly(s, p)
-			for _, lanes := range []int{1, 2, 8, 64} {
+			for _, lanes := range []int{1, 2, 8, 64, 3} {
 				xs := make([]uint64, lanes)
 				for l := range xs {
 					if l%3 == 2 {
@@ -284,16 +287,67 @@ func TestEvalManyMatchesEval(t *testing.T) {
 						xs[l] = rng.Uint64n(p)
 					}
 				}
-				out := make([]uint64, lanes)
-				poly.EvalMany(xs, out)
-				for l, x := range xs {
-					if want := poly.Eval(x); out[l] != want {
-						t.Fatalf("p=%d n=%d lanes=%d lane %d: EvalMany=%d Eval=%d (x=%d)",
-							p, n, lanes, l, out[l], want, x)
+				for _, scratch := range []*EvalScratch{nil, &sc} {
+					out := make([]uint64, lanes)
+					poly.EvalMany(xs, out, scratch)
+					for l, x := range xs {
+						if want := poly.Eval(x); out[l] != want {
+							t.Fatalf("p=%d n=%d lanes=%d scratch=%v lane %d: EvalMany=%d Eval=%d (x=%d)",
+								p, n, lanes, scratch != nil, l, out[l], want, x)
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// nibTableReduced is the reference nibble table: every entry reduced from
+// its integer value c₃x³+c₂x²+c₁x+c₀ by one Barrett reduction, as the
+// table was first built.
+func nibTableReduced(x, p, m uint64) [17]uint64 {
+	var t [17]uint64
+	x2 := barrettReduce(x*x, p, m)
+	x3 := barrettReduce(x2*x, p, m)
+	t[16] = barrettReduce(x2*x2, p, m)
+	for c := 0; c < 16; c++ {
+		v := uint64(c&1) + uint64(c>>1&1)*x + uint64(c>>2&1)*x2 + uint64(c>>3&1)*x3
+		t[c] = barrettReduce(v, p, m)
+	}
+	return t
+}
+
+// TestNibTableMatchesReduction pins the add-chain nibble table to the
+// reduction-built one: for every x of the small fields, and for random x
+// in the largest field of the fast path (p = 2³¹−1), including its edges.
+func TestNibTableMatchesReduction(t *testing.T) {
+	check := func(p, x uint64) {
+		t.Helper()
+		m := barrettM(p)
+		var got [17]uint64
+		for i := range got {
+			got[i] = ^uint64(0) // a reused table holds stale entries
+		}
+		nibTable(x, p, m, &got)
+		if want := nibTableReduced(x, p, m); got != want {
+			t.Fatalf("p=%d x=%d: add-chain table %v, reduced table %v", p, x, got, want)
+		}
+	}
+	for _, p := range []uint64{2, 3, 5, 7, 293} {
+		for x := uint64(0); x < p; x++ {
+			check(p, x)
+		}
+	}
+	const big = 1<<31 - 1
+	if !IsPrime(big) {
+		t.Fatal("2^31-1 should be prime")
+	}
+	rng := prng.New(7)
+	for _, x := range []uint64{0, 1, 2, big - 2, big - 1} {
+		check(big, x)
+	}
+	for i := 0; i < 5000; i++ {
+		check(big, rng.Uint64n(big))
 	}
 }
 
@@ -307,6 +361,32 @@ func TestPrimeForLengthCached(t *testing.T) {
 		}
 		if got := PrimeForLength(lambda); got != want {
 			t.Fatalf("cached PrimeForLength(%d) = %d, want %d", lambda, got, want)
+		}
+	}
+}
+
+// TestEvalCacheOwnsItsKey checks that the cache keeps its own copy of the
+// polynomial it tabulated: a caller that rebuilds the string in a reused
+// buffer must get the new polynomial's values, not the stale table.
+func TestEvalCacheOwnsItsKey(t *testing.T) {
+	var c EvalCache
+	p := PrimeForLength(64)
+	buf := make([]byte, 8)
+	xs := make([]uint64, 2*minTableBatch)
+	for i := range xs {
+		xs[i] = uint64(i*37) % p
+	}
+	out := make([]uint64, len(xs))
+	for round, b := range []byte{0x00, 0xA7, 0xA7, 0x3C} {
+		for i := range buf {
+			buf[i] = b + byte(i)
+		}
+		s := bitstring.FromBytesInto(buf, buf) // aliases the reused buffer
+		c.EvalMany(s, p, xs, out, nil)
+		for i, x := range xs {
+			if want := NewPoly(bitstring.FromBytes(buf), p).Eval(x); out[i] != want {
+				t.Fatalf("round %d x=%d: cached %d, direct %d", round, x, out[i], want)
+			}
 		}
 	}
 }

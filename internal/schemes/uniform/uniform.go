@@ -129,10 +129,7 @@ func (r randRPLS) Certs(view core.View, _ core.Label, rng *prng.Rand) []core.Cer
 	certs := make([]core.Cert, view.Deg)
 	for i := range certs {
 		fp := field.NewFingerprint(data, p, rng.Fork(uint64(i)))
-		var w bitstring.Writer
-		w.WriteGamma(uint64(data.Len()))
-		fp.Encode(&w)
-		certs[i] = w.String()
+		certs[i] = core.FingerprintCert(nil, data.Len(), p, fp.X, fp.Y)
 	}
 	return certs
 }
@@ -142,51 +139,50 @@ var _ core.LaneRPLS = randRPLS{}
 // CertsLanes implements core.LaneRPLS: the payload's polynomial is shared
 // by every lane and port, so one batched evaluation replaces
 // lanes × deg Horner walks.
+//
+//pls:hotpath
 func (r randRPLS) CertsLanes(view core.View, _ core.Label, rngs []*prng.Rand, out [][]core.Cert) {
-	data := bitstring.FromBytes(view.State.Data)
-	core.FingerprintLanes(data, r.prime(data.Len()), rngs, view.Deg, r.cache, out)
+	sc := view.Scratch
+	data := bitstring.FromBytesInto(view.State.Data, sc.Bytes(len(view.State.Data)))
+	core.FingerprintLanes(data, r.prime(data.Len()), rngs, view.Deg, r.cache, sc, out)
 }
 
 // DecideLanes implements core.LaneRPLS. Certificates are parsed per lane
 // (lanes fail independently), then all surviving fingerprints — every lane,
 // every port, one shared payload polynomial — are checked in a single
 // batched evaluation.
+//
+//pls:hotpath
 func (r randRPLS) DecideLanes(view core.View, _ core.Label, recv [][]core.Cert) uint64 {
-	data := bitstring.FromBytes(view.State.Data)
-	p := r.prime(data.Len())
+	sc := view.Scratch
+	data := bitstring.FromBytesInto(view.State.Data, sc.Bytes(len(view.State.Data)))
+	lambda := data.Len()
+	p := r.prime(lambda)
 	lanes := len(recv)
 	live := core.LaneMask(lanes)
 	slots := lanes * view.Deg
-	buf := make([]uint64, 3*slots)
-	xs := buf[:0:slots]
-	ys := buf[slots : slots : 2*slots]
-	owner := make([]int, 0, slots)
+	buf := sc.Uint64s(3 * slots)
+	xs, ys, got := buf[:slots], buf[slots:2*slots], buf[2*slots:]
+	owner := sc.Ints(slots)
+	k := 0
 	for l := 0; l < lanes; l++ {
 		if len(recv[l]) != view.Deg {
 			live &^= 1 << uint(l)
 			continue
 		}
 		for _, cert := range recv[l] {
-			rd := bitstring.NewReader(cert)
-			n, err := rd.ReadGamma()
-			if err != nil || int(n) != data.Len() {
+			x, y, ok := core.ParseFingerprintCert(cert, lambda, p)
+			if !ok {
 				live &^= 1 << uint(l)
 				break
 			}
-			fp, err := field.DecodeFingerprint(rd, p)
-			if err != nil || rd.Remaining() != 0 {
-				live &^= 1 << uint(l)
-				break
-			}
-			xs = append(xs, fp.X)
-			ys = append(ys, fp.Y)
-			owner = append(owner, l)
+			xs[k], ys[k], owner[k] = x, y, l
+			k++
 		}
 	}
-	got := buf[2*slots : 2*slots+len(xs)]
-	r.cache.EvalMany(data, p, xs, got)
-	for k, l := range owner {
-		if got[k] != ys[k] {
+	r.cache.EvalMany(data, p, xs[:k], got[:k], sc.Eval())
+	for j, l := range owner[:k] {
+		if got[j] != ys[j] {
 			live &^= 1 << uint(l)
 		}
 	}
@@ -215,6 +211,7 @@ func (r randRPLS) CapCerts(m int, view core.View, own core.Label, rng *prng.Rand
 // fingerprint is among the members).
 func (r randRPLS) CapDecide(_ int, view core.View, _ core.Label, received []core.Cert) bool {
 	data := bitstring.FromBytes(view.State.Data)
+	p := r.prime(data.Len())
 	if len(received) != view.Deg {
 		return false
 	}
@@ -224,16 +221,7 @@ func (r randRPLS) CapDecide(_ int, view core.View, _ core.Label, received []core
 			return false // the reverse edge's fingerprint must be present
 		}
 		for _, cert := range members {
-			rd := bitstring.NewReader(cert)
-			n, err := rd.ReadGamma()
-			if err != nil || int(n) != data.Len() {
-				return false
-			}
-			fp, err := field.DecodeFingerprint(rd, r.prime(int(n)))
-			if err != nil || rd.Remaining() != 0 {
-				return false
-			}
-			if !fp.Matches(data) {
+			if !core.CheckFingerprint(cert, data, p) {
 				return false
 			}
 		}
@@ -243,20 +231,12 @@ func (r randRPLS) CapDecide(_ int, view core.View, _ core.Label, received []core
 
 func (r randRPLS) Decide(view core.View, _ core.Label, received []core.Cert) bool {
 	data := bitstring.FromBytes(view.State.Data)
+	p := r.prime(data.Len())
 	if len(received) != view.Deg {
 		return false
 	}
 	for _, cert := range received {
-		rd := bitstring.NewReader(cert)
-		n, err := rd.ReadGamma()
-		if err != nil || int(n) != data.Len() {
-			return false
-		}
-		fp, err := field.DecodeFingerprint(rd, r.prime(int(n)))
-		if err != nil || rd.Remaining() != 0 {
-			return false
-		}
-		if !fp.Matches(data) {
+		if !core.CheckFingerprint(cert, data, p) {
 			return false
 		}
 	}
