@@ -119,6 +119,14 @@ func (s String) Equal(t String) bool {
 	return true
 }
 
+// SameAs reports, in O(1), whether s and t are the same string value: the
+// same length over the same storage, as copies of one String are. Strings
+// are immutable, so SameAs implies Equal; the converse does not hold, and
+// two empty strings are always the same.
+func (s String) SameAs(t String) bool {
+	return s.n == t.n && (s.n == 0 || &s.data[0] == &t.data[0])
+}
+
 // Clone returns a copy of s that shares no storage with it, for holding on
 // to a String that may alias a reused buffer.
 func (s String) Clone() String {

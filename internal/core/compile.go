@@ -51,6 +51,7 @@ func CompiledCertBits(kappa int) int {
 
 type compiled struct {
 	inner PLS
+	plan  *Plan // set on a scheme returned by Bind, nil otherwise
 }
 
 var _ RPLS = (*compiled)(nil)
@@ -100,68 +101,82 @@ func readSub(r *bitstring.Reader, buf []byte) (bitstring.String, []byte, error) 
 	return s, buf[nb:], err
 }
 
-// splitLabel decodes the replicated vector: own label plus one replica per
-// port. Returns an error on malformed (adversarial) labels. The sub-labels
-// and the replica slice live in sc's Bytes and Labels buffers — a nil sc
-// allocates them — and are valid until sc's next use of those buffers.
-func (c *compiled) splitLabel(own Label, deg int, sc *LaneScratch) (self Label, replicas []Label, err error) {
+// splitBytes is the byte storage splitInto needs for own at degree deg:
+// each sub-label needs at most one byte beyond its share of own's bits.
+func splitBytes(own Label, deg int) int {
+	return (own.Len()+7)/8 + deg + 1
+}
+
+// splitInto decodes the replicated vector: own label plus one replica per
+// port, written to replicas, with every sub-label assembled in buf when it
+// holds splitBytes(own, len(replicas)) bytes. Returns an error on
+// malformed (adversarial) labels.
+func splitInto(own Label, replicas []Label, buf []byte) (self Label, err error) {
 	var r bitstring.Reader
 	r.Reset(own)
-	// Each sub-label needs at most one byte beyond its share of own's bits.
-	buf := sc.Bytes((own.Len()+7)/8 + deg + 1)
 	self, buf, err = readSub(&r, buf)
 	if err != nil {
-		return Label{}, nil, fmt.Errorf("own sub-label: %w", err)
+		return Label{}, fmt.Errorf("own sub-label: %w", err)
 	}
-	replicas = sc.Labels(deg)
-	for i := 0; i < deg; i++ {
+	for i := range replicas {
 		replicas[i], buf, err = readSub(&r, buf)
 		if err != nil {
-			return Label{}, nil, fmt.Errorf("replica %d: %w", i, err)
+			return Label{}, fmt.Errorf("replica %d: %w", i, err)
 		}
 	}
 	if r.Remaining() != 0 {
-		return Label{}, nil, fmt.Errorf("trailing bits in compiled label")
+		return Label{}, fmt.Errorf("trailing bits in compiled label")
 	}
-	return self, replicas, nil
+	return self, nil
+}
+
+// Bind implements Binder: it decodes every node's replicated label into
+// plan once, so the bound scheme's Certs, Decide, CapCerts, CapDecide,
+// CertsLanes and DecideLanes skip the decode, the prime lookups and —
+// after a node's first verdict — the inner Verify.
+func (c *compiled) Bind(cfg *graph.Config, labels []Label, plan *Plan) RPLS {
+	plan.build(cfg.G, labels)
+	plan.bound = compiled{inner: c.inner, plan: plan}
+	return &plan.bound
+}
+
+var _ Binder = (*compiled)(nil)
+
+// decode returns the node's labels: the plan's entry when own is the label
+// the plan was built from, otherwise own decoded on the fly into
+// view.Scratch (valid until the scratch's next Labels and Bytes calls).
+// ok is false for a malformed label.
+//
+//pls:hotpath
+func (c *compiled) decode(view View, own Label) (nl nodeLabels, ok bool) {
+	if nl, ok, found := c.plan.node(view, own); found {
+		return nl, ok
+	}
+	sc := view.Scratch
+	nl.reps = sc.Labels(view.Deg)
+	self, err := splitInto(own, nl.reps, sc.Bytes(splitBytes(own, view.Deg)))
+	nl.self = self
+	return nl, err == nil
 }
 
 // Certs fingerprints the node's own sub-label once per port with
-// independent coins (edge independence, Definition 4.5).
+// independent coins (edge independence, Definition 4.5). It is the
+// one-lane CertsLanes, so the self polynomial is evaluated at all ports'
+// points in one coefficient walk; the certificates and their slice come
+// from view.Scratch's arenas.
 func (c *compiled) Certs(view View, own Label, rng *prng.Rand) []Cert {
-	self, _, err := c.splitLabel(own, view.Deg, nil)
-	if err != nil {
-		// A node with a malformed label sends empty certificates; its
-		// neighbors reject them, and the node itself rejects in Decide.
-		return make([]Cert, view.Deg)
-	}
-	p := field.PrimeForLength(self.Len())
-	certs := make([]Cert, view.Deg)
-	for i := range certs {
-		fp := field.NewFingerprint(self, p, rng.Fork(uint64(i)))
-		certs[i] = FingerprintCert(nil, self.Len(), p, fp.X, fp.Y)
-	}
+	certs := view.Scratch.CertSlots(view.Deg)
+	c.CertsLanes(view, own, []*prng.Rand{rng}, [][]Cert{certs})
 	return certs
 }
 
 // Decide checks every received fingerprint against the stored replica of
 // that neighbor's label — a certificate for another length rejects
 // outright, as the replica cannot equal the sender's label — then runs the
-// original deterministic verifier on the replicas.
+// original deterministic verifier on the replicas. It is the one-lane
+// DecideLanes.
 func (c *compiled) Decide(view View, own Label, received []Cert) bool {
-	self, replicas, err := c.splitLabel(own, view.Deg, nil)
-	if err != nil {
-		return false
-	}
-	if len(received) != view.Deg {
-		return false
-	}
-	for i, cert := range received {
-		if !CheckFingerprint(cert, replicas[i], field.PrimeForLength(replicas[i].Len())) {
-			return false
-		}
-	}
-	return c.inner.Verify(view, self, replicas)
+	return c.DecideLanes(view, own, [][]Cert{received}) != 0
 }
 
 var _ CappedRPLS = (*compiled)(nil)
@@ -182,8 +197,8 @@ func (c *compiled) CapCerts(m int, view View, own Label, rng *prng.Rand) []Cert 
 // Equal strings always match (one-sided completeness); the reverse edge's
 // own fingerprint is among the members, so soundness is at least unicast.
 func (c *compiled) CapDecide(_ int, view View, own Label, received []Cert) bool {
-	self, replicas, err := c.splitLabel(own, view.Deg, nil)
-	if err != nil {
+	nl, ok := c.decode(view, own)
+	if !ok {
 		return false
 	}
 	if len(received) != view.Deg {
@@ -197,12 +212,12 @@ func (c *compiled) CapDecide(_ int, view View, own Label, received []Cert) bool 
 		if len(members) == 0 {
 			return false // the reverse edge's fingerprint must be present
 		}
-		p := field.PrimeForLength(replicas[i].Len())
+		p := nl.prime(i)
 		for _, cert := range members {
-			if !CheckFingerprint(cert, replicas[i], p) {
+			if !CheckFingerprint(cert, nl.reps[i], p) {
 				return false
 			}
 		}
 	}
-	return c.inner.Verify(view, self, replicas)
+	return nl.verify(c.inner, view)
 }

@@ -54,9 +54,10 @@ type Predicate interface {
 // reach beyond it; the runtime hands each node exactly this.
 //
 // Scratch is not part of the node's context but the executor's reusable
-// storage for the lane path: a batched executor sets it for the LaneRPLS
-// calls it makes, and it is nil everywhere else. It carries no
-// information, so no decision may depend on it.
+// storage (see LaneScratch): the Batched executor sets it for the LaneRPLS
+// calls it makes, the Sequential executor for every Certs, RoundCerts and
+// Decide call, and it is nil everywhere else. It carries
+// no information, so no decision may depend on it.
 type View struct {
 	Node    int
 	Deg     int

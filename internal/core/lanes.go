@@ -33,7 +33,7 @@ import (
 // the executor's next batch, when the arena is reused. No Cert may
 // therefore escape the executor's batch — the executor keeps only the
 // votes and bit counts. With a nil scratch every buffer and certificate is
-// freshly allocated, as in a one-lane call.
+// freshly allocated.
 type LaneRPLS interface {
 	RPLS
 	CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]Cert)
@@ -86,15 +86,17 @@ func FingerprintLanes(s bitstring.String, p uint64, rngs []*prng.Rand, deg int, 
 
 var _ LaneRPLS = (*compiled)(nil)
 
-// CertsLanes implements LaneRPLS: the label is parsed and the field chosen
-// once, and the self sub-label's polynomial is evaluated at all
-// lanes × ports points in one coefficient walk.
+// CertsLanes implements LaneRPLS: the label is decoded and the field
+// chosen once — or read from the plan — and the self sub-label's
+// polynomial is evaluated at all lanes × ports points in one coefficient
+// walk.
 //
 //pls:hotpath
 func (c *compiled) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]Cert) {
-	self, _, err := c.splitLabel(own, view.Deg, view.Scratch)
-	if err != nil {
-		// Same as Certs: a malformed label sends empty certificates.
+	nl, ok := c.decode(view, own)
+	if !ok {
+		// A node with a malformed label sends empty certificates; its
+		// neighbors reject them, and the node itself rejects in Decide.
 		for l := range rngs {
 			for i := 0; i < view.Deg; i++ {
 				out[l][i] = Cert{}
@@ -104,21 +106,22 @@ func (c *compiled) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]C
 	}
 	// No cache: the self sub-label differs per node, so a shared one-entry
 	// memo would thrash.
-	FingerprintLanes(self, field.PrimeForLength(self.Len()), rngs, view.Deg, nil, view.Scratch, out)
+	FingerprintLanes(nl.self, nl.selfPrime(), rngs, view.Deg, nil, view.Scratch, out)
 }
 
 // DecideLanes implements LaneRPLS. Per port, each lane's certificate is
 // parsed individually (lanes fail independently under adversarial input),
 // but the replica polynomial is evaluated at all surviving lanes' points
 // in one batched pass, and the inner deterministic verifier — which sees
-// only the replicas, never the coins — runs once for the whole batch.
+// only the replicas, never the coins — runs once for the whole batch, or,
+// bound to a plan, once per node for the whole call.
 //
 //pls:hotpath
 func (c *compiled) DecideLanes(view View, own Label, recv [][]Cert) uint64 {
 	lanes := len(recv)
 	sc := view.Scratch
-	self, replicas, err := c.splitLabel(own, view.Deg, sc)
-	if err != nil {
+	nl, ok := c.decode(view, own)
+	if !ok {
 		return 0
 	}
 	live := LaneMask(lanes)
@@ -130,8 +133,8 @@ func (c *compiled) DecideLanes(view View, own Label, recv [][]Cert) uint64 {
 	buf := sc.Uint64s(3 * lanes)
 	xs, ys, got := buf[:lanes], buf[lanes:2*lanes], buf[2*lanes:]
 	for i := 0; i < view.Deg && live != 0; i++ {
-		rep := replicas[i]
-		p := field.PrimeForLength(rep.Len())
+		rep := nl.reps[i]
+		p := nl.prime(i)
 		for l := 0; l < lanes; l++ {
 			xs[l], ys[l] = 0, 0
 			if live&(1<<uint(l)) == 0 {
@@ -154,13 +157,7 @@ func (c *compiled) DecideLanes(view View, own Label, recv [][]Cert) uint64 {
 			}
 		}
 	}
-	if live == 0 {
-		return 0
-	}
-	// The inner verifier is a one-lane PLS: it gets no scratch, so the
-	// buffers holding self and the replicas stay untouched.
-	view.Scratch = nil
-	if !c.inner.Verify(view, self, replicas) {
+	if live == 0 || !nl.verify(c.inner, view) {
 		return 0
 	}
 	return live

@@ -2,23 +2,24 @@ package core
 
 import "rpls/internal/field"
 
-// LaneScratch is the reusable working storage of the lane path. A batched
-// executor owns one per worker and hands it to the scheme through
-// View.Scratch, so CertsLanes and DecideLanes run without allocating once
-// the buffers have grown to the graph's needs. It is never shared: one
-// scratch serves one executor, and one call at a time.
+// LaneScratch is the reusable working storage a scheme gets from its
+// executor through View.Scratch. The Batched executor hands its scratch to
+// CertsLanes and DecideLanes, and the Sequential executor hands its own to
+// every one-lane Certs, RoundCerts and Decide, so both paths run without
+// allocating once the buffers have grown to the graph's needs. It is never
+// shared: one scratch serves one executor, and one call at a time.
 //
-// Every accessor is nil-safe. On a nil *LaneScratch — the one-lane paths
-// and any caller outside a batched executor — each returns freshly
-// allocated storage, which is the allocating behaviour the lane methods
-// had before the scratch existed.
+// Every accessor is nil-safe. On a nil *LaneScratch — any caller outside
+// those two executors, such as Pool or Goroutines — each returns freshly
+// allocated storage.
 //
 // Two lifetimes apply. The working buffers (Uint64s, Ints, Labels, Bytes,
 // Eval) are valid until the next call of the same accessor; a scheme uses
-// them within one CertsLanes or DecideLanes call and must not hold on to
-// them. Certificate storage from CertBytes comes from an arena that the
-// executor resets at the start of every batch, so certificates built there
-// stay valid until the executor's next batch and no longer.
+// them within one call and must not hold on to them. Certificate storage
+// from CertBytes and CertSlots comes from arenas that the executor resets
+// at the start of every batch or execution (all rounds of a multi-round
+// one), so certificates built there stay valid until the executor's next
+// batch or execution and no longer.
 type LaneScratch struct {
 	eval     field.EvalScratch
 	vals     []uint64
@@ -28,6 +29,8 @@ type LaneScratch struct {
 	arena    [][]byte // certificate chunks, reused in order batch after batch
 	chunk    int      // index of the chunk being carved
 	chunkOff int      // bytes of arena[chunk] handed out this batch
+	slots    []Cert   // certificate-slice block being carved by CertSlots
+	slotOff  int      // slots handed out of the block this batch
 }
 
 // minArenaChunk is the size of the first certificate chunk. Later chunks
@@ -40,7 +43,7 @@ const minArenaChunk = 1 << 10
 // certificate of the previous batch is dead. It is a no-op on nil.
 func (s *LaneScratch) Reset() {
 	if s != nil {
-		s.chunk, s.chunkOff = 0, 0
+		s.chunk, s.chunkOff, s.slotOff = 0, 0, 0
 	}
 }
 
@@ -73,6 +76,30 @@ func (s *LaneScratch) CertBytes(n int) []byte {
 	s.chunkOff = n
 	return s.arena[s.chunk][:n:n]
 }
+
+// CertSlots returns n certificate slots, valid until the next Reset: the
+// []Cert a one-lane Certs returns. Stale contents are not cleared, so the
+// caller must write every slot. When the block runs out a new one of at
+// least twice its size replaces it; the slots handed out earlier in the
+// batch keep the old block alive, and later batches carve the new one.
+//
+//pls:hotpath
+func (s *LaneScratch) CertSlots(n int) []Cert {
+	if s == nil {
+		return make([]Cert, n) //plsvet:allow hotalloc — no scratch: the allocating one-call behaviour
+	}
+	if len(s.slots)-s.slotOff < n {
+		//plsvet:allow hotalloc — block grow on exhaustion; later batches reuse the block
+		s.slots = make([]Cert, max(2*len(s.slots), n, minSlotBlock))
+		s.slotOff = 0
+	}
+	b := s.slots[s.slotOff : s.slotOff+n : s.slotOff+n]
+	s.slotOff += n
+	return b
+}
+
+// minSlotBlock is the size of CertSlots' first block.
+const minSlotBlock = 64
 
 // Uint64s returns a working buffer of n uint64s.
 //

@@ -40,11 +40,12 @@ type Batched struct {
 	rngVals  []prng.Rand
 	rootVals []prng.Rand
 	votes    []bool
-	// scratch is the lane path's working storage and certificate arena,
-	// handed to the scheme as View.Scratch. The arena is reset at the start
-	// of every runLanes, so the plane's certificates live exactly one
-	// batch; they never leave runLanes, which keeps only votes and counts.
-	scratch core.LaneScratch
+	// The lane path's working storage and certificate arena is the embedded
+	// Sequential's store, handed to the scheme as View.Scratch. The arena is
+	// reset at the start of every runLanes, so the plane's certificates
+	// live exactly one batch; they never leave runLanes, which keeps only
+	// votes and counts. Lane and fallback rounds never overlap, so the two
+	// paths share the store, and the label plan (seq.plan) too.
 
 	// Per-lane counters of the last runLanes call. The structural
 	// distinct-message count is lane-invariant (it depends on degrees and
@@ -256,7 +257,7 @@ func (e *Batched) ensure(width int) {
 // lane is rewritten by core.CapReplicate right after generation: the same
 // in-place transform capScheme.Certs applies on the sequential path, so
 // planes — and therefore votes and stats — stay byte-identical. The
-// scheme works in e.scratch (View.Scratch), whose certificate arena is
+// scheme works in e.seq.store (View.Scratch), whose certificate arena is
 // reset here: the previous batch's certificates are dead by now, since
 // none leaves runLanes.
 //
@@ -264,7 +265,7 @@ func (e *Batched) ensure(width int) {
 func (e *Batched) runLanes(lane core.LaneRPLS, mult int, c *graph.Config, labels []core.Label, firstSeed uint64, width int, needVotes bool) {
 	e.csr.Reset(c.G)
 	e.ensure(width)
-	e.scratch.Reset()
+	e.seq.store.Reset()
 	n, slots := e.csr.N(), e.csr.Slots()
 	for l := 0; l < width; l++ {
 		*e.roots[l] = *prng.New(firstSeed + uint64(l))
@@ -277,8 +278,7 @@ func (e *Batched) runLanes(lane core.LaneRPLS, mult int, c *graph.Config, labels
 			*e.rngs[l] = *e.roots[l].Fork(uint64(v))
 			e.planeTop[l] = e.plane[l*slots+base : l*slots+base+deg]
 		}
-		view := core.ViewOf(c, v)
-		view.Scratch = &e.scratch
+		view := e.seq.view(c, v)
 		lane.CertsLanes(view, labels[v], e.rngs, e.planeTop)
 		if mult > 0 {
 			for l := 0; l < width; l++ {
@@ -312,8 +312,7 @@ func (e *Batched) runLanes(lane core.LaneRPLS, mult int, c *graph.Config, labels
 			}
 			e.recvTop[l] = w
 		}
-		view := core.ViewOf(c, v)
-		view.Scratch = &e.scratch
+		view := e.seq.view(c, v)
 		mask := lane.DecideLanes(view, labels[v], e.recvTop)
 		accept &= mask
 		if needVotes {

@@ -37,27 +37,26 @@ func TestBatchedRoundAllocs(t *testing.T) {
 }
 
 // estimateOverhead bounds the estimator's own allocations per Estimate
-// call, outside any executor: its options and its outcome buffer.
-const estimateOverhead = 8
+// call, outside any executor: its options, its outcome buffer and, for a
+// scheme bound to a label plan, the bound scheme's adapter.
+const estimateOverhead = 6
 
 // TestBatchedLaneEstimateAllocs locks in the allocation-free lane path: on
-// a warm executor, whose scratch and certificate arena have grown to the
-// graph, a whole Estimate may allocate at most once per node per batch
-// beyond the estimator's own overhead. That budget is the compiled
-// scheme's inner deterministic Verify, which allocates once per call;
-// certificate generation, exchange, parsing and field evaluation allocate
-// nothing, so uniform, which has no inner verifier, must stay within the
-// overhead alone.
+// a warm executor, whose scratch, certificate arena and label plan have
+// grown to the graph, a whole Estimate allocates no more than the
+// estimator's own overhead. Certificate generation, exchange, parsing and
+// field evaluation allocate nothing, and the compiled scheme's inner
+// deterministic Verify — allocation-free for the spanning tree — runs at
+// most once per node per call, memoized in the plan.
 func TestBatchedLaneEstimateAllocs(t *testing.T) {
 	const n, trials = 1 << 12, 64
 	for _, tc := range []struct {
-		name    string
-		scheme  core.RPLS
-		cfg     *graph.Config
-		perNode bool // the scheme runs an allocating inner Verify per node
+		name   string
+		scheme core.RPLS
+		cfg    *graph.Config
 	}{
-		{"uniform", uniform.NewRPLS(), experiments.BuildUniformConfig(n, 32, 1), false},
-		{"spanningtree-compiled", core.Compile(spanningtree.NewPLS()), experiments.BuildTreeConfig(n, 1), true},
+		{"uniform", uniform.NewRPLS(), experiments.BuildUniformConfig(n, 32, 1)},
+		{"spanningtree-compiled", core.Compile(spanningtree.NewPLS()), experiments.BuildTreeConfig(n, 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := engine.FromRPLS(tc.scheme)
@@ -76,15 +75,54 @@ func TestBatchedLaneEstimateAllocs(t *testing.T) {
 				}
 				seed += trials
 			}
-			estimate() // warm the scratch, the arena and the evaluation cache
-			limit := float64(estimateOverhead)
-			if tc.perNode {
-				limit += float64(n * ((trials + 63) / 64))
-			}
-			if got := testing.AllocsPerRun(2, estimate); got > limit {
-				t.Fatalf("warm lane Estimate allocates %v times, want <= %v", got, limit)
+			estimate() // warm the scratch, the arena, the plan and the evaluation cache
+			if got := testing.AllocsPerRun(2, estimate); got > estimateOverhead {
+				t.Fatalf("warm lane Estimate allocates %v times, want <= %v", got, estimateOverhead)
 			}
 		})
+	}
+}
+
+// TestSequentialCompiledEstimateAllocs is the one-lane counterpart: a
+// compiled Estimate on a warm Sequential executor — plan, scratch and
+// certificate arena grown — allocates no more than the estimator's own
+// overhead, so its allocations grow neither with n nor with the trial
+// count. It covers the self-stabilization monitor's stop-on-reject
+// detection calls as well as the honest ones.
+func TestSequentialCompiledEstimateAllocs(t *testing.T) {
+	s := engine.FromRPLS(core.Compile(spanningtree.NewPLS()))
+	for _, n := range []int{1 << 6, 1 << 11} {
+		legal := experiments.BuildTreeConfig(n, 2)
+		labels, err := s.Label(legal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		illegal := legal.Clone()
+		illegal.States[n/2].Parent = 0 // a second root
+		for _, trials := range []int{4, 64} {
+			for _, detect := range []bool{false, true} {
+				exec := engine.NewSequential()
+				seed := uint64(1)
+				cfg := legal
+				if detect {
+					cfg = illegal
+				}
+				estimate := func() {
+					sum, err := engine.Estimate(s, cfg, engine.WithLabels(labels), engine.WithTrials(trials),
+						engine.WithSeed(seed), engine.WithExecutor(exec), engine.WithParallelism(1),
+						engine.WithStopOnReject(detect))
+					if err != nil || (sum.Accepted == sum.Trials) == detect {
+						t.Fatalf("estimate (detect=%v): %+v, %v", detect, sum, err)
+					}
+					seed += uint64(trials)
+				}
+				estimate() // warm the executor
+				if got := testing.AllocsPerRun(2, estimate); got > estimateOverhead {
+					t.Errorf("n=%d trials=%d detect=%v: warm Sequential Estimate allocates %v times, want <= %v",
+						n, trials, detect, got, estimateOverhead)
+				}
+			}
+		}
 	}
 }
 

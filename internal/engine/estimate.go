@@ -150,6 +150,7 @@ func (o *options) estimateLabels(s Scheme, c *graph.Config, labels []core.Label)
 	obsEstimates.Inc()
 	sp := obs.Begin("engine.estimate")
 	execs := o.shardExecutors()
+	s = bindPlan(s, c, labels, execs[0])
 
 	// With an early-stop rule active, compute trials ahead on the fixed
 	// geometric chunk schedule; otherwise one chunk covers the whole run.
@@ -240,6 +241,43 @@ func (o *options) shardExecutors() []Executor {
 		execs[i] = cl.Clone()
 	}
 	return execs
+}
+
+// planOwner is an executor that owns the storage of a per-call label plan
+// (core.Plan): Sequential, and Batched through its embedded Sequential.
+type planOwner interface{ labelPlan() *core.Plan }
+
+func (e *Sequential) labelPlan() *core.Plan { return &e.plan }
+func (e *Batched) labelPlan() *core.Plan    { return &e.seq.plan }
+
+// bindPlan binds a plan-aware scheme (core.Binder) to the call's fixed
+// configuration and labels, building the plan once, before any trial, in
+// the storage of the caller's executor; every worker of the call then
+// shares the bound scheme, which only reads the plan (its verdict memo is
+// atomic). A multiplicity cap is rewrapped around the bound scheme. Any
+// other scheme, or an executor without plan storage, is returned as is.
+// The bound scheme gives bit-identical results, so binding is invisible in
+// every Summary.
+func bindPlan(s Scheme, c *graph.Config, labels []core.Label, exec Executor) Scheme {
+	owner, ok := exec.(planOwner)
+	if !ok {
+		return s
+	}
+	switch w := s.(type) {
+	case rplsScheme:
+		if b, ok := w.s.(core.Binder); ok {
+			return rplsScheme{b.Bind(c, labels, owner.labelPlan())}
+		}
+	case capScheme:
+		if r, ok := bindPlan(w.inner, c, labels, exec).(rplsScheme); ok {
+			w.inner = r
+			if w.capped != nil {
+				w.capped = r.s.(core.CappedRPLS)
+			}
+			return w
+		}
+	}
+	return s
 }
 
 // runTrials executes trials [lo, hi), writing outcome t to out[t-lo].

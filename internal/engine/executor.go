@@ -137,7 +137,19 @@ func sendStats(det bool, mult int, c *graph.Config, labels []core.Label, certs [
 // Sequential is the allocation-amortized fast path: one goroutine, buffers
 // reused across rounds. It backs Monte-Carlo estimation, monitors, and
 // benchmarks.
-type Sequential struct{ sc scratch }
+type Sequential struct {
+	sc scratch
+	// store is the scheme's working storage and certificate arena, handed
+	// to Certs and Decide as View.Scratch and reset at the start of every
+	// single-round Round: a round's certificates live exactly one round.
+	store core.LaneScratch
+	// plan is the storage of the per-call label plan the estimator binds
+	// plan-aware schemes to (core.Binder); see bindPlan.
+	plan core.Plan
+	// rng holds the coin stream of the node whose Certs runs, reseated per
+	// node, so handing it to the scheme allocates nothing.
+	rng prng.Rand
+}
 
 // NewSequential returns a sequential executor with empty scratch.
 func NewSequential() *Sequential { return &Sequential{} }
@@ -148,11 +160,13 @@ func (e *Sequential) Name() string { return "sequential" }
 // Clone implements Cloneable: a fresh sequential executor with empty scratch.
 func (e *Sequential) Clone() Executor { return NewSequential() }
 
-// Round implements Executor. This is the Sequential det hot path: the
-// plsvet hotalloc analyzer rejects allocating constructs in every
-// //pls:hotpath function at the AST level, and the benchgate allocation
-// band locks the measured zero-alloc steady state in CI — together they
-// replace the old ad-hoc "stays 0-alloc" assertion comments.
+// Round implements Executor. This is the Sequential hot path: the plsvet
+// hotalloc analyzer rejects allocating constructs in every //pls:hotpath
+// function at the AST level, and the benchgate allocation band locks the
+// measured zero-alloc steady state in CI — together they replace the old
+// ad-hoc "stays 0-alloc" assertion comments. A randomized scheme gets
+// e.store as View.Scratch, reset once per Round, so a scheme that builds
+// its certificates there (the compiled one) runs allocation-free as well.
 //
 //pls:hotpath
 func (e *Sequential) Round(s Scheme, c *graph.Config, labels []core.Label, seed uint64) ([]bool, Stats) {
@@ -161,12 +175,14 @@ func (e *Sequential) Round(s Scheme, c *graph.Config, labels []core.Label, seed 
 	}
 	n := c.G.N()
 	e.sc.ensure(c.G)
+	e.store.Reset()
 	st := Stats{Rounds: 1, MaxLabelBits: core.MaxBits(labels)}
 	det, mult := s.Deterministic(), Multiplicity(s)
 	if !det {
 		root := prng.New(seed)
 		for v := 0; v < n; v++ {
-			e.sc.certs[v] = s.Certs(core.ViewOf(c, v), labels[v], root.Fork(uint64(v)))
+			e.rng = *root.Fork(uint64(v))
+			e.sc.certs[v] = s.Certs(e.view(c, v), labels[v], &e.rng)
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -174,28 +190,39 @@ func (e *Sequential) Round(s Scheme, c *graph.Config, labels []core.Label, seed 
 	}
 	for v := 0; v < n; v++ {
 		recv := e.sc.gather(det, c, labels, v)
-		e.sc.votes[v] = s.Decide(core.ViewOf(c, v), labels[v], recv)
+		e.sc.votes[v] = s.Decide(e.view(c, v), labels[v], recv)
 	}
 	return e.sc.votes, st
+}
+
+// view is node v's view with the executor's scheme storage attached.
+//
+//pls:hotpath
+func (e *Sequential) view(c *graph.Config, v int) core.View {
+	view := core.ViewOf(c, v)
+	view.Scratch = &e.store
+	return view
 }
 
 // multiRound runs the t-round lockstep: per round, every node derives its
 // round strings (from a per-round identical coin stream), the metered
 // messages land in the receivers' windows, and each received string is
 // appended to its directed edge's shard list; after the last round every
-// node decides from the per-port concatenations. The shard lists are
-// allocated per call — the zero-alloc guarantee covers only the classic
-// single-round deterministic path.
+// node decides from the per-port concatenations. The scheme gets e.store
+// as View.Scratch, reset once for the whole execution, so every round's
+// strings stay valid until the decisions; the shard lists are allocated
+// per call — the zero-alloc guarantee covers only the single-round path.
 func (e *Sequential) multiRound(mr MultiRound, rounds int, c *graph.Config, labels []core.Label, seed uint64) ([]bool, Stats) {
 	n := c.G.N()
 	e.sc.ensure(c.G)
+	e.store.Reset()
 	st := Stats{Rounds: rounds, MaxLabelBits: core.MaxBits(labels)}
 	mult := Multiplicity(mr)
 	shards := newShardAcc(e.sc.offs[n], rounds)
 	root := prng.New(seed)
 	for r := 0; r < rounds; r++ {
 		for v := 0; v < n; v++ {
-			e.sc.certs[v] = mr.RoundCerts(r, core.ViewOf(c, v), labels[v], root.Fork(uint64(v)))
+			e.sc.certs[v] = mr.RoundCerts(r, e.view(c, v), labels[v], root.Fork(uint64(v)))
 		}
 		for v := 0; v < n; v++ {
 			sendStats(false, mult, c, labels, e.sc.certs[v], v, &st)
@@ -204,7 +231,7 @@ func (e *Sequential) multiRound(mr MultiRound, rounds int, c *graph.Config, labe
 	}
 	for v := 0; v < n; v++ {
 		recv := shards.reassemble(&e.sc, v)
-		e.sc.votes[v] = mr.Decide(core.ViewOf(c, v), labels[v], recv)
+		e.sc.votes[v] = mr.Decide(e.view(c, v), labels[v], recv)
 	}
 	return e.sc.votes, st
 }

@@ -316,6 +316,10 @@ func (sc *EvalScratch) tables(n int) [][17]uint64 {
 	return sc.tabs[:n]
 }
 
+// stackTables holds the nibble tables of EvalMany calls with few points
+// and no scratch.
+type stackTables [8][17]uint64
+
 // EvalMany evaluates the polynomial at every xs[i], writing A(xs[i]) into
 // out[i]. It is the batched form of Eval for trial-lane execution: the
 // coefficient bits are walked once for all evaluation points, so the bit
@@ -324,7 +328,8 @@ func (sc *EvalScratch) tables(n int) [][17]uint64 {
 // accumulator. Results are exactly Eval(xs[i]) — same field, same
 // arithmetic — at any lane count, including 1. The nibble tables of long
 // polynomials live in sc when it is non-nil, so a caller that keeps one
-// scratch evaluates without allocating.
+// scratch evaluates without allocating; without one, up to eight points
+// evaluate without allocating too.
 func (poly Poly) EvalMany(xs, out []uint64, sc *EvalScratch) {
 	if len(out) < len(xs) {
 		panic(fmt.Sprintf("field: EvalMany out[%d] shorter than xs[%d]", len(out), len(xs)))
@@ -353,6 +358,13 @@ func (poly Poly) EvalMany(xs, out []uint64, sc *EvalScratch) {
 		out[l] = 0
 	}
 	if n >= evalChunkMin {
+		if sc == nil && len(xs) <= len(stackTables{}) {
+			// A few points without a scratch — one-lane calls outside the
+			// executors — take their tables from the stack.
+			var local stackTables
+			poly.evalManyChunked(xs, out, p, m, local[:len(xs)])
+			return
+		}
 		poly.evalManyChunked(xs, out, p, m, sc.tables(len(xs)))
 		return
 	}

@@ -88,6 +88,9 @@ func decode(l core.Label) (decoded, bool) {
 	return decoded{leaderID: id, dist: dist}, true
 }
 
+// Verify is allocation-free.
+//
+//pls:hotpath
 func (pls) Verify(view core.View, own core.Label, nbrs []core.Label) bool {
 	me, ok := decode(own)
 	if !ok || len(nbrs) != view.Deg {

@@ -3,6 +3,7 @@ package leader_test
 import (
 	"testing"
 
+	"rpls/internal/core"
 	"rpls/internal/graph"
 	"rpls/internal/prng"
 	"rpls/internal/schemes/leader"
@@ -89,4 +90,31 @@ func TestLabelAndCertSizes(t *testing.T) {
 func TestSingleNodeLeader(t *testing.T) {
 	c := leaderConfig(graph.New(1), 0)
 	schemetest.New(1).LegalAccepted(t, leader.NewPLS(), c)
+}
+
+// TestVerifyAllocationFree pins the //pls:hotpath contract of Verify.
+func TestVerifyAllocationFree(t *testing.T) {
+	c := leaderConfig(graph.RandomConnected(64, 32, prng.New(2)), 5)
+	c.AssignRandomIDs(prng.New(3))
+	s := leader.NewPLS()
+	labels, err := s.Label(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbrs := make([][]core.Label, c.G.N())
+	for v := range nbrs {
+		for _, h := range c.G.AdjView(v) {
+			nbrs[v] = append(nbrs[v], labels[h.To])
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for v := range nbrs {
+			if !s.Verify(core.ViewOf(c, v), labels[v], nbrs[v]) {
+				t.Fatalf("node %d rejects honest labels", v)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Verify allocates %v times per sweep, want 0", allocs)
+	}
 }

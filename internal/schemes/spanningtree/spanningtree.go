@@ -130,12 +130,17 @@ func decode(l core.Label) (decoded, bool) {
 	return decoded{rootID: rootID, dist: dist}, true
 }
 
+// Verify is allocation-free: of the neighbors' labels it keeps only the
+// parent's.
+//
+//pls:hotpath
 func (pls) Verify(view core.View, own core.Label, nbrs []core.Label) bool {
 	me, ok := decode(own)
 	if !ok || len(nbrs) != view.Deg {
 		return false
 	}
-	ns := make([]decoded, view.Deg)
+	p := view.State.Parent
+	var parent decoded
 	for i, nl := range nbrs {
 		n, ok := decode(nl)
 		if !ok {
@@ -145,9 +150,10 @@ func (pls) Verify(view core.View, own core.Label, nbrs []core.Label) bool {
 		if n.rootID != me.rootID {
 			return false
 		}
-		ns[i] = n
+		if i == p-1 {
+			parent = n
+		}
 	}
-	p := view.State.Parent
 	if p == 0 {
 		// The root: p(r) = ⊥, checks d(r) = 0 and that it is the named root.
 		return me.dist == 0 && me.rootID == view.State.ID
@@ -156,7 +162,7 @@ func (pls) Verify(view core.View, own core.Label, nbrs []core.Label) bool {
 		return false
 	}
 	// d(p(v)) = d(v) − 1.
-	return me.dist >= 1 && ns[p-1].dist == me.dist-1
+	return me.dist >= 1 && parent.dist == me.dist-1
 }
 
 // NewRPLS returns the compiled randomized scheme with O(log log n)-bit

@@ -3,6 +3,7 @@ package spanningtree_test
 import (
 	"testing"
 
+	"rpls/internal/core"
 	"rpls/internal/engine"
 	"rpls/internal/graph"
 	"rpls/internal/prng"
@@ -149,4 +150,32 @@ func TestSingleNodeTree(t *testing.T) {
 		t.Fatal("single root node should satisfy the predicate")
 	}
 	schemetest.New(1).LegalAccepted(t, spanningtree.NewPLS(), c)
+}
+
+// TestVerifyAllocationFree pins the //pls:hotpath contract of Verify: the
+// compiled scheme's plan runs it once per node per estimation call, and
+// the lane path relies on it allocating nothing.
+func TestVerifyAllocationFree(t *testing.T) {
+	c := treeConfig(t, graph.RandomConnected(64, 32, prng.New(2)), 0)
+	s := spanningtree.NewPLS()
+	labels, err := s.Label(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbrs := make([][]core.Label, c.G.N())
+	for v := range nbrs {
+		for _, h := range c.G.AdjView(v) {
+			nbrs[v] = append(nbrs[v], labels[h.To])
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for v := range nbrs {
+			if !s.Verify(core.ViewOf(c, v), labels[v], nbrs[v]) {
+				t.Fatalf("node %d rejects honest labels", v)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Verify allocates %v times per sweep, want 0", allocs)
+	}
 }
