@@ -209,7 +209,16 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: c.Handler()}
+	// A peer that stalls in its headers or body, or idles on a kept-alive
+	// connection, is cut off instead of holding a connection open forever.
+	// Protocol bodies are small (fabric.MaxBodyBytes), so the read bounds
+	// only ever cut off a stalled peer; idle connections outlive a heartbeat.
+	srv := &http.Server{
+		Handler:           c.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       max(2*time.Minute, 2**heartbeat),
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "coordinator on http://%s (lease=%d, ttl=%v, status: /v1/status)\n",

@@ -422,10 +422,27 @@ func (c *Coordinator) retryMillis() int64 {
 	return ms
 }
 
-// decodeBody decodes a JSON request body, replying 400 on failure.
+// MaxBodyBytes bounds every request body the coordinator reads. The
+// largest legitimate request is a report: workers send one record per
+// report, and a record line of the shipped campaigns is well under 1 KiB
+// (583 bytes at most in examples/campaign/smoke.json), so 4 MiB leaves
+// room for reports of thousands of records, or of records thousands of
+// times larger, while a hostile peer cannot make the coordinator buffer
+// an unbounded body.
+const MaxBodyBytes = 4 << 20
+
+// decodeBody decodes a JSON request body of at most MaxBodyBytes into v,
+// rejecting fields v does not have. It replies 413 to a larger body and
+// 400 to any other failure, and v is then not to be used.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, fmt.Sprintf("fabric: bad request body: %v", err), http.StatusBadRequest)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		code := http.StatusBadRequest
+		if _, ok := err.(*http.MaxBytesError); ok {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("fabric: bad request body: %v", err), code)
 		return false
 	}
 	return true

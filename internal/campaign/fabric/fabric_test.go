@@ -349,3 +349,74 @@ func TestReportValidation(t *testing.T) {
 		t.Errorf("bad reports advanced the stream: %+v", st)
 	}
 }
+
+// TestHostileBodies: a body past MaxBodyBytes is rejected with 413 and a
+// body with a field the protocol does not have with 400, and neither
+// leaves anything in the campaign stream — not even a valid record at the
+// front of the oversized report.
+func TestHostileBodies(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCoordinator(dir, fabricSpec(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Finish()
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	var lr LeaseResponse
+	postJSON(t, srv.URL+PathLease, LeaseRequest{Worker: "w"}, &lr)
+	if lr.Lease == nil {
+		t.Fatal("no lease")
+	}
+	cell := lr.Lease.Cells[0]
+	rec := campaign.RunCell(cell)
+	good := ReportRecord{Index: lr.Lease.Start, Cell: cell.ID(), Status: rec.Status, Line: campaign.MarshalRecord(rec)}
+	huge := ReportRequest{Worker: "w", Lease: lr.Lease.ID, Records: []ReportRecord{good}}
+	pad := ReportRecord{Index: lr.Lease.Start, Cell: strings.Repeat("x", 1<<16), Line: json.RawMessage(`{}`)}
+	for len(huge.Records)*(1<<16) <= MaxBodyBytes {
+		huge.Records = append(huge.Records, pad)
+	}
+	raw := func(body []byte) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+PathReport, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	body, err := json.Marshal(huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := raw(body); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized report (%d bytes): status %d, want 413", len(body), code)
+	}
+	unknown, err := json.Marshal(map[string]any{"worker": "w", "lease": lr.Lease.ID, "records": []ReportRecord{good}, "extra": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := raw(unknown); code != http.StatusBadRequest {
+		t.Errorf("report with an unknown field: status %d, want 400", code)
+	}
+	for _, path := range []string{PathLease, PathHeartbeat} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(`{"worker":"w","bogus":true}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with an unknown field: status %d, want 400", path, resp.StatusCode)
+		}
+	}
+	if st := c.Status(); st.Written != 0 {
+		t.Errorf("hostile bodies advanced the stream: %+v", st)
+	}
+	// The same record, reported properly, is stored.
+	var rr ReportResponse
+	postJSON(t, srv.URL+PathReport, ReportRequest{Worker: "w", Lease: lr.Lease.ID, Records: []ReportRecord{good}}, &rr)
+	if st := c.Status(); st.Written != 1 {
+		t.Errorf("the valid report was not stored: %+v", st)
+	}
+}

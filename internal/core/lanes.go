@@ -59,13 +59,15 @@ func LaneMask(lanes int) uint64 {
 // All certificates of a call have the same bit length, so they are framed
 // into one slab from sc's certificate arena, and the evaluation points and
 // values live in sc's buffers: with a warm scratch the call allocates
-// nothing (a nil sc allocates the slab and buffers per call).
+// nothing (a nil sc allocates the slab and buffers per call). They are
+// returned, lane-major (lane l, port i at l·deg+i), and stay valid until
+// sc's next Uint64s call.
 //
 //pls:hotpath
-func FingerprintLanes(s bitstring.String, p uint64, rngs []*prng.Rand, deg int, cache *field.EvalCache, sc *LaneScratch, out [][]Cert) {
+func FingerprintLanes(s bitstring.String, p uint64, rngs []*prng.Rand, deg int, cache *field.EvalCache, sc *LaneScratch, out [][]Cert) (xs, ys []uint64) {
 	lanes := len(rngs)
 	buf := sc.Uint64s(2 * lanes * deg)
-	xs, ys := buf[:lanes*deg], buf[lanes*deg:]
+	xs, ys = buf[:lanes*deg], buf[lanes*deg:]
 	for l, rng := range rngs {
 		row := xs[l*deg : (l+1)*deg]
 		for i := 0; i < deg; i++ {
@@ -82,6 +84,7 @@ func FingerprintLanes(s bitstring.String, p uint64, rngs []*prng.Rand, deg int, 
 			out[l][i] = FingerprintCert(slab[k:k:k+certBytes], lambda, p, xs[l*deg+i], ys[l*deg+i])
 		}
 	}
+	return xs, ys
 }
 
 var _ LaneRPLS = (*compiled)(nil)
@@ -89,7 +92,8 @@ var _ LaneRPLS = (*compiled)(nil)
 // CertsLanes implements LaneRPLS: the label is decoded and the field
 // chosen once — or read from the plan — and the self sub-label's
 // polynomial is evaluated at all lanes × ports points in one coefficient
-// walk.
+// walk. Bound to a plan, it records those pairs in the scratch's
+// evaluation memo for the receivers' DecideLanes.
 //
 //pls:hotpath
 func (c *compiled) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]Cert) {
@@ -106,7 +110,11 @@ func (c *compiled) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]C
 	}
 	// No cache: the self sub-label differs per node, so a shared one-entry
 	// memo would thrash.
-	FingerprintLanes(nl.self, nl.selfPrime(), rngs, view.Deg, nil, view.Scratch, out)
+	p := nl.selfPrime()
+	xs, ys := FingerprintLanes(nl.self, p, rngs, view.Deg, nil, view.Scratch, out)
+	if nl.verdict != nil && p < memoPrimeLimit {
+		c.plan.remember(view.Scratch, nl.send, view.Deg, len(rngs), xs, ys)
+	}
 }
 
 // DecideLanes implements LaneRPLS. Per port, each lane's certificate is
@@ -114,7 +122,10 @@ func (c *compiled) CertsLanes(view View, own Label, rngs []*prng.Rand, out [][]C
 // but the replica polynomial is evaluated at all surviving lanes' points
 // in one batched pass, and the inner deterministic verifier — which sees
 // only the replicas, never the coins — runs once for the whole batch, or,
-// bound to a plan, once per node for the whole call.
+// bound to a plan, once per node for the whole call. Bound to a plan, a
+// port whose replica mirrors the sender's own sub-label first looks each
+// lane's parsed x up in the scratch's evaluation memo: a recorded x comes
+// with the sender's exact A(x), and only the other lanes are evaluated.
 //
 //pls:hotpath
 func (c *compiled) DecideLanes(view View, own Label, recv [][]Cert) uint64 {
@@ -130,30 +141,50 @@ func (c *compiled) DecideLanes(view View, own Label, recv [][]Cert) uint64 {
 			live &^= 1 << uint(l)
 		}
 	}
+	var memo []uint64
+	stride := 0
+	if nl.verdict != nil {
+		memo, stride = sc.evalMemo(c.plan, lanes), len(c.plan.mirror)
+	}
 	buf := sc.Uint64s(3 * lanes)
 	xs, ys, got := buf[:lanes], buf[lanes:2*lanes], buf[2*lanes:]
+	idx := sc.Ints(lanes) // idx[k] is the lane of the k-th point to evaluate
 	for i := 0; i < view.Deg && live != 0; i++ {
 		rep := nl.reps[i]
 		p := nl.prime(i)
+		mirror := -1
+		if memo != nil {
+			mirror = c.plan.mirror[nl.send+i]
+		}
+		k := 0
 		for l := 0; l < lanes; l++ {
-			xs[l], ys[l] = 0, 0
-			if live&(1<<uint(l)) == 0 {
+			bit := uint64(1) << uint(l)
+			if live&bit == 0 {
 				continue
 			}
 			x, y, ok := ParseFingerprintCert(recv[l][i], rep.Len(), p)
 			if !ok {
-				live &^= 1 << uint(l)
+				live &^= bit
 				continue
 			}
-			xs[l], ys[l] = x, y
+			if mirror >= 0 {
+				if a, hit := memoValue(memo[l*stride+mirror], x); hit {
+					if a != y {
+						live &^= bit
+					}
+					continue
+				}
+			}
+			xs[k], ys[k], idx[k] = x, y, l
+			k++
 		}
-		if live == 0 {
-			break
+		if k == 0 {
+			continue
 		}
-		field.NewPoly(rep, p).EvalMany(xs, got, sc.Eval())
-		for l := 0; l < lanes; l++ {
-			if live&(1<<uint(l)) != 0 && got[l] != ys[l] {
-				live &^= 1 << uint(l)
+		field.NewPoly(rep, p).EvalMany(xs[:k], got[:k], sc.Eval())
+		for j := 0; j < k; j++ {
+			if got[j] != ys[j] {
+				live &^= 1 << uint(idx[j])
 			}
 		}
 	}

@@ -20,7 +20,12 @@ import "rpls/internal/field"
 // at the start of every batch or execution (all rounds of a multi-round
 // one), so certificates built there stay valid until the executor's next
 // batch or execution and no longer.
+//
+// A third lifetime is the evaluation memo of a bound compiled scheme (see
+// Plan): it belongs to one plan generation and lives until the plan is
+// built again, across batches; Reset leaves it alone.
 type LaneScratch struct {
+	memo     memoStore
 	eval     field.EvalScratch
 	vals     []uint64
 	ints     []int
@@ -161,4 +166,48 @@ func (s *LaneScratch) Eval() *field.EvalScratch {
 		return nil
 	}
 	return &s.eval
+}
+
+// memoStore is a scratch's evaluation memo: lane-major over the plan's send
+// slots, lane l's entry for slot e at words[l·stride+e] with stride the
+// plan's slot count, so a batch of any width finds its lanes where a wider
+// one left them. words holds lanes lanes of entries of generation gen of
+// plan; any other plan or generation finds it empty.
+type memoStore struct {
+	plan  *Plan
+	gen   uint64
+	lanes int
+	words []uint64
+}
+
+// evalMemo returns the scratch's evaluation memo for the current
+// generation of p, covering at least lanes lanes: entries recorded since p
+// was last built, and the empty entry everywhere else. A rebuilt plan —
+// or another one — finds every entry empty, and lanes beyond those
+// recorded so far are added empty. nil scratch or plan has no memo.
+//
+//pls:hotpath
+func (s *LaneScratch) evalMemo(p *Plan, lanes int) []uint64 {
+	if s == nil || p == nil {
+		return nil
+	}
+	m := &s.memo
+	if m.plan != p || m.gen != p.gen {
+		m.plan, m.gen, m.lanes, m.words = p, p.gen, 0, m.words[:0]
+	}
+	if lanes > m.lanes {
+		n := lanes * len(p.mirror)
+		if cap(m.words) < n {
+			//plsvet:allow hotalloc — capacity-guarded grow; a warm scratch only regrows for a larger graph or a wider batch
+			w := make([]uint64, n)
+			copy(w, m.words)
+			m.words = w
+		} else {
+			old := len(m.words)
+			m.words = m.words[:n]
+			clear(m.words[old:])
+		}
+		m.lanes = lanes
+	}
+	return m.words
 }

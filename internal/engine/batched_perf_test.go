@@ -126,6 +126,49 @@ func TestSequentialCompiledEstimateAllocs(t *testing.T) {
 	}
 }
 
+// TestPlanStorageAlternatingSizes: one warm executor alternates between
+// a small and a large graph. The label plan, its mirror table and the
+// evaluation memo regrow only when the graph outgrows them — once, when
+// the large graph first follows the small one — so an alternating pair of
+// warm calls allocates no more than a pair on the small graph alone, and
+// no more than twice the estimator's overhead.
+func TestPlanStorageAlternatingSizes(t *testing.T) {
+	s := engine.FromRPLS(core.Compile(spanningtree.NewPLS()))
+	var cfgs []*graph.Config
+	var labels [][]core.Label
+	for i, n := range []int{1 << 6, 1 << 10} {
+		cfg := experiments.BuildTreeConfig(n, uint64(5+i))
+		l, err := s.Label(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs, labels = append(cfgs, cfg), append(labels, l)
+	}
+	for _, exec := range []engine.Executor{engine.NewSequential(), engine.NewBatched()} {
+		seed, second := uint64(1), 0
+		pair := func() {
+			for _, i := range [2]int{0, second} {
+				sum, err := engine.Estimate(s, cfgs[i], engine.WithLabels(labels[i]), engine.WithTrials(16),
+					engine.WithSeed(seed), engine.WithExecutor(exec), engine.WithParallelism(1))
+				if err != nil || sum.Accepted != sum.Trials {
+					t.Fatalf("%s honest estimate: %+v, %v", exec.Name(), sum, err)
+				}
+				seed += 16
+			}
+		}
+		second = 1
+		pair() // the storage grows to the large graph
+		second = 0
+		same := testing.AllocsPerRun(2, pair)
+		second = 1
+		alternating := testing.AllocsPerRun(2, pair)
+		if alternating > same || alternating > 2*estimateOverhead {
+			t.Errorf("%s: an alternating pair of warm Estimates allocates %v times, a small pair %v; want no more, and <= %v",
+				exec.Name(), alternating, same, 2*estimateOverhead)
+		}
+	}
+}
+
 // batchedWorkload is the estimator call the amortization and speedup
 // assertions compare across executors: a boosted uniform scheme — the
 // E15 false-alarm workload — on a small legal configuration.

@@ -178,6 +178,23 @@ func NewPoly(s bitstring.String, p uint64) Poly {
 // every step of the Horner recurrence.
 func barrettM(p uint64) uint64 { return ^uint64(0) / p }
 
+// lazySteps returns the number of Horner steps acc ← acc·a + b (a, b < p)
+// that may run between reductions: the largest s ≥ 1 with p^(s+1) ≤ 2^63.
+// Starting from a reduced acc, k unreduced steps leave acc < p^(k+1), so
+// the s-th step's value is still a legal Barrett input (below 2^63) and no
+// product overflows. It is 6 for p = 293, 4 for p = 4751 and 1 — reduce
+// every step — near 2^31.
+func lazySteps(p uint64) int {
+	s := 1
+	if p < 2 {
+		return s
+	}
+	for pw := p * p; pw <= (1<<63)/p; pw *= p {
+		s++
+	}
+	return s
+}
+
 // barrettReduce returns z mod p given m = barrettM(p), for z < 2^63.
 func barrettReduce(z, p, m uint64) uint64 {
 	q, _ := bits.Mul64(z, m)
@@ -268,8 +285,11 @@ func nibTable(x, p, m uint64, t *[17]uint64) {
 
 // evalChunked is the Horner walk four coefficients at a time:
 // acc ← acc·x⁴ + (a₃x³+a₂x²+a₁x+a₀), with the 16 possible chunk values
-// tabulated once. The congruence is exact — the result equals the
-// bit-at-a-time walk's for every input — with a quarter of the reductions.
+// tabulated once. Only every lazySteps(p)-th step and the last one reduce;
+// the steps between keep the accumulator unreduced, which lazySteps proves
+// stays a legal Barrett input. The congruence is exact — the result equals
+// the bit-at-a-time walk's for every input — with at most a quarter of its
+// reductions.
 func (poly Poly) evalChunked(x, p, m uint64) uint64 {
 	n := poly.bits.Len()
 	var t [17]uint64
@@ -283,6 +303,7 @@ func (poly Poly) evalChunked(x, p, m uint64) uint64 {
 	}
 	// Aligned coefficient groups {4g..4g+3}, high to low: group g sits in
 	// byte g>>1, even groups in the high storage nibble.
+	lazy, k := lazySteps(p), 0
 	for g := (n-head)/4 - 1; g >= 0; g-- {
 		b := poly.bits.ByteAt(g >> 1)
 		var nib byte
@@ -291,7 +312,10 @@ func (poly Poly) evalChunked(x, p, m uint64) uint64 {
 		} else {
 			nib = b & 0xF
 		}
-		acc = barrettReduce(acc*x4+t[revNib[nib]], p, m)
+		acc = acc*x4 + t[revNib[nib]]
+		if k++; k == lazy || g == 0 {
+			acc, k = barrettReduce(acc, p, m), 0
+		}
 	}
 	return acc
 }
@@ -385,8 +409,9 @@ func (poly Poly) EvalMany(xs, out []uint64, sc *EvalScratch) {
 
 // evalManyChunked is the batched form of evalChunked: one nibble table per
 // lane, held in tabs (len(tabs) == len(xs)), then a single coefficient walk
-// feeding every lane's Horner chain four coefficients per step. Results
-// equal the bit-at-a-time walk exactly.
+// feeding every lane's Horner chain four coefficients per step, reducing
+// on every lazySteps(p)-th step and the last. Results equal the
+// bit-at-a-time walk exactly.
 //
 //pls:hotpath
 func (poly Poly) evalManyChunked(xs, out []uint64, p, m uint64, tabs [][17]uint64) {
@@ -401,6 +426,7 @@ func (poly Poly) evalManyChunked(xs, out []uint64, p, m uint64, tabs [][17]uint6
 			out[l] = barrettReduce(out[l]*xs[l]+bit, p, m)
 		}
 	}
+	lazy, k := lazySteps(p), 0
 	for g := (n-head)/4 - 1; g >= 0; g-- {
 		b := poly.bits.ByteAt(g >> 1)
 		var nib byte
@@ -410,9 +436,17 @@ func (poly Poly) evalManyChunked(xs, out []uint64, p, m uint64, tabs [][17]uint6
 			nib = b & 0xF
 		}
 		c := revNib[nib]
+		if k++; k == lazy || g == 0 {
+			k = 0
+			for l := range out {
+				t := &tabs[l]
+				out[l] = barrettReduce(out[l]*t[16]+t[c], p, m)
+			}
+			continue
+		}
 		for l := range out {
 			t := &tabs[l]
-			out[l] = barrettReduce(out[l]*t[16]+t[c], p, m)
+			out[l] = out[l]*t[16] + t[c]
 		}
 	}
 }

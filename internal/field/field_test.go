@@ -261,14 +261,91 @@ func TestAddMod(t *testing.T) {
 	}
 }
 
+// evalRef is the reference evaluation: Horner's rule one coefficient at a
+// time with the 128-bit MulMod, reducing every step.
+func evalRef(s bitstring.String, p, x uint64) uint64 {
+	acc := uint64(0)
+	for i := s.Len() - 1; i >= 0; i-- {
+		acc = AddMod(MulMod(acc, x, p), uint64(s.Bit(i)), p)
+	}
+	return acc
+}
+
+// lazyBoundaryPrimes returns, for every lazy step count s ≥ 2, the largest
+// prime p with p^(s+1) ≤ 2^63 — where the unreduced accumulator of the
+// chunked walk comes closest to the Barrett limit — checking lazySteps(p)
+// against the powers and that the next prime takes fewer than s steps,
+// plus 2³¹−1, the largest field of the fast path, which reduces every
+// step.
+func lazyBoundaryPrimes(t *testing.T) []uint64 {
+	t.Helper()
+	// powFits reports whether r^k ≤ 2^63.
+	powFits := func(r uint64, k int) bool {
+		acc := uint64(1)
+		for i := 0; i < k; i++ {
+			if acc > (1<<63)/r {
+				return false
+			}
+			acc *= r
+		}
+		return true
+	}
+	primes := []uint64{1<<31 - 1}
+	if got := lazySteps(1<<31 - 1); got != 1 {
+		t.Fatalf("lazySteps(2^31-1) = %d, want 1", got)
+	}
+	for s := 2; ; s++ {
+		r := uint64(2)
+		for step := uint64(1) << 31; step > 0; step >>= 1 {
+			if powFits(r+step, s+1) {
+				r += step
+			}
+		}
+		p := r
+		for !IsPrime(p) {
+			p--
+		}
+		want := s
+		for powFits(p, want+2) {
+			want++ // a prime well below the root can take more steps
+		}
+		if got := lazySteps(p); got != want {
+			t.Fatalf("lazySteps(%d) = %d, want %d", p, got, want)
+		}
+		if got := lazySteps(NextPrime(r + 1)); got >= s {
+			t.Fatalf("lazySteps(%d) = %d past the boundary of %d", NextPrime(r+1), got, s)
+		}
+		if p == primes[len(primes)-1] {
+			continue
+		}
+		primes = append(primes, p)
+		if p == 2 {
+			return primes
+		}
+	}
+}
+
+// TestLazyStepsShippedPrimes pins the reduction interval of the fields the
+// shipped schemes use most: the spanning tree's and mst's.
+func TestLazyStepsShippedPrimes(t *testing.T) {
+	for p, want := range map[uint64]int{293: 6, 4751: 4} {
+		if got := lazySteps(p); got != want {
+			t.Errorf("lazySteps(%d) = %d, want %d", p, got, want)
+		}
+	}
+}
+
 // TestEvalManyMatchesEval pins the lane contract: EvalMany is bit-identical
 // to per-point Eval at every lane count, for reduced and unreduced points,
-// small and large moduli down to GF(2) and GF(3), and ragged string
-// lengths — with the nibble tables freshly allocated and in one scratch
-// reused across every call.
+// small and large moduli down to GF(2) and GF(3), the largest prime of
+// every lazy-reduction interval and the largest field of the fast path,
+// and ragged string lengths — with the nibble tables freshly allocated and
+// in one scratch reused across every call. Both are held to the 128-bit
+// reference.
 func TestEvalManyMatchesEval(t *testing.T) {
 	rng := prng.New(99)
 	primes := []uint64{2, 3, 7, 61, PrimeForLength(200), PrimeForLength(4096), NextPrime(1 << 40)}
+	primes = append(primes, lazyBoundaryPrimes(t)...)
 	var sc EvalScratch
 	for _, p := range primes {
 		for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 200, 515} {
@@ -293,6 +370,10 @@ func TestEvalManyMatchesEval(t *testing.T) {
 					for l, x := range xs {
 						if want := poly.Eval(x); out[l] != want {
 							t.Fatalf("p=%d n=%d lanes=%d scratch=%v lane %d: EvalMany=%d Eval=%d (x=%d)",
+								p, n, lanes, scratch != nil, l, out[l], want, x)
+						}
+						if want := evalRef(s, p, x); out[l] != want {
+							t.Fatalf("p=%d n=%d lanes=%d scratch=%v lane %d: EvalMany=%d reference=%d (x=%d)",
 								p, n, lanes, scratch != nil, l, out[l], want, x)
 						}
 					}
@@ -389,4 +470,44 @@ func TestEvalCacheOwnsItsKey(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzEvalMany holds EvalMany and Eval to the 128-bit reference on
+// arbitrary strings, fields and points: p is the prime at or after the
+// fuzzed value (so every lazy-reduction interval and the slow path past
+// 2³¹ are reachable), and the points, some unreduced, are drawn from the
+// fuzzed seed.
+func FuzzEvalMany(f *testing.F) {
+	f.Add([]byte{0xA5, 0x3C, 0xFF, 0x01, 0x80, 0x7E, 0x55, 0xAA, 0x0F}, uint64(293), uint8(3), uint64(1))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint64(4751), uint8(64), uint64(2))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint64(1<<31-2), uint8(1), uint64(3))
+	f.Add([]byte{}, uint64(2), uint8(5), uint64(4))
+	f.Fuzz(func(t *testing.T, data []byte, pin uint64, lanes uint8, seed uint64) {
+		p := NextPrime(pin%(1<<32) + 1)
+		s := bitstring.FromBytes(data)
+		rng := prng.New(seed)
+		xs := make([]uint64, int(lanes)%64+1)
+		for l := range xs {
+			if l%4 == 3 {
+				xs[l] = rng.Uint64()
+			} else {
+				xs[l] = rng.Uint64n(p)
+			}
+		}
+		poly := NewPoly(s, p)
+		var sc EvalScratch
+		for _, scratch := range []*EvalScratch{nil, &sc} {
+			out := make([]uint64, len(xs))
+			poly.EvalMany(xs, out, scratch)
+			for l, x := range xs {
+				want := evalRef(s, p, x)
+				if out[l] != want {
+					t.Fatalf("p=%d λ=%d lane %d: EvalMany=%d reference=%d (x=%d)", p, s.Len(), l, out[l], want, x)
+				}
+				if got := poly.Eval(x); got != want {
+					t.Fatalf("p=%d λ=%d: Eval=%d reference=%d (x=%d)", p, s.Len(), got, want, x)
+				}
+			}
+		}
+	})
 }
